@@ -3,31 +3,26 @@
 * :mod:`repro.core.matched_filter` — the matched filter of Sect. IV
   (Eq. 3), aligned so output indices coincide with pulse-peak positions.
 * :mod:`repro.core.detection` — the *search-and-subtract* response
-  detector (Sect. IV, steps 1-7).
-* :mod:`repro.core.plan` — spectrum-cached FFT detection plans: batched
-  filter-bank spectra and cross-correlation tables that make the
-  detector's fast path possible.
-* :mod:`repro.core.batch` — cross-trial batched detection: B CIRs of
-  one shape run through a single 2-D FFT engine pass
-  (:func:`~repro.core.batch.detect_batch`), per-trial results identical
-  to the serial fast path.
+  detector (Sect. IV, steps 1-7) and its oracle,
+  :func:`~repro.core.detection.detect_reference`, the literal
+  re-filtering loop the engine is tested against.
+* :mod:`repro.core.plan` — spectrum-cached FFT detection plans: the
+  immutable filter-bank spectra and cross-correlation tables the engine
+  runs on, memoised per shape.
+* :mod:`repro.core.batch` — the one detection engine: B CIRs of one
+  shape through a single 2-D FFT pass
+  (:func:`~repro.core.batch.detect_batch`); ``detect()`` is a batch of
+  one.
 * :mod:`repro.core.batch_extract` — the batch-vectorised
-  search-and-subtract extraction loop shared by both batched engines.
-* :mod:`repro.core.backend` — the pluggable array backend the batched
-  plans run their transforms on (NumPy/SciPy default; optional
-  CuPy/torch selected via ``set_backend`` or ``REPRO_BACKEND``).
+  search-and-subtract extraction loop of that engine.
 * :mod:`repro.core.threshold` — the threshold-based baseline detector
   (Falsi et al., used as comparison in Sect. VI).
 * :mod:`repro.core.pulse_id` — responder identification from pulse shape
-  (Sect. V): a template-bank matched-filter classifier.
-* :mod:`repro.core.batch_id` — cross-trial batched identification:
-  B CIRs classified through one 2-D FFT engine pass
-  (:func:`~repro.core.batch_id.classify_batch`), plus the
+  (Sect. V): the per-response decision over the template bank.
+* :mod:`repro.core.batch_id` — identification through the engine
+  (:func:`~repro.core.batch_id.classify_batch`: the detection pass
+  followed by the shape decode), plus the
   :class:`~repro.core.batch_id.ClassifyBatchTrial` runtime bridge.
-* :mod:`repro.core.engine` — the shared :class:`~repro.core.engine.Engine`
-  / :class:`~repro.core.engine.ClassifierEngine` protocols every
-  detector and classifier conforms to (uniform
-  ``(cirs, sampling_period_s, noise_std)`` signatures).
 * :mod:`repro.core.ranging` — SS-TWR (Eq. 2) and CIR-relative (Eq. 4)
   distance computation.
 * :mod:`repro.core.alignment` — CIR-to-distance alignment using d_TWR
@@ -38,41 +33,30 @@
 """
 
 from repro.core.matched_filter import matched_filter
-from repro.core.backend import (
-    ArrayBackend,
-    BackendUnavailable,
-    available_backends,
-    get_backend,
-    set_backend,
-)
 from repro.core.detection import (
     DetectedResponse,
     SearchAndSubtract,
     SearchAndSubtractConfig,
+    detect_reference,
 )
 from repro.core.plan import DetectorPlan, detector_plan, plan_cache_key
 from repro.core.batch import (
     BatchDetectorPlan,
     batch_detector_plan,
     detect_batch,
+    private_plan,
 )
 from repro.core.threshold import (
     ThresholdDetector,
     ThresholdConfig,
-    detect_threshold_batch,
+    detect_threshold_reference,
 )
 from repro.core.pulse_id import (
     PulseShapeClassifier,
     ClassifiedResponse,
     classify_responses,
 )
-from repro.core.batch_id import (
-    BatchClassifierPlan,
-    ClassifyBatchTrial,
-    batch_classifier_plan,
-    classify_batch,
-)
-from repro.core.engine import ClassifierEngine, Engine
+from repro.core.batch_id import ClassifyBatchTrial, classify_batch
 from repro.core.ranging import (
     twr_distance,
     twr_distance_compensated,
@@ -86,25 +70,18 @@ from repro.core.scheme import CombinedScheme, ResponderAssignment
 
 __all__ = [
     "matched_filter",
-    "ArrayBackend",
-    "BackendUnavailable",
-    "available_backends",
-    "get_backend",
-    "set_backend",
-    "BatchClassifierPlan",
     "BatchDetectorPlan",
-    "ClassifierEngine",
     "ClassifyBatchTrial",
     "DetectorPlan",
-    "Engine",
-    "batch_classifier_plan",
     "batch_detector_plan",
     "classify_batch",
     "classify_responses",
     "detect_batch",
-    "detect_threshold_batch",
+    "detect_reference",
+    "detect_threshold_reference",
     "detector_plan",
     "plan_cache_key",
+    "private_plan",
     "DetectedResponse",
     "SearchAndSubtract",
     "SearchAndSubtractConfig",

@@ -1,104 +1,109 @@
-"""Cross-trial batched detection: many CIRs through one FFT engine pass.
+"""The search-and-subtract engine: B CIRs through one FFT engine pass.
 
-The spectrum-cached engine of :mod:`repro.core.plan` already collapses
-the per-CIR filter bank into one forward FFT x 2-D spectrum matrix x
-one batched inverse FFT.  This module batches across the *other* axis —
-trials.  A Monte-Carlo experiment evaluating B independent CIRs of the
-same shape (same template bank, CIR length, upsampling factor) stacks
-them into a ``(B, N)`` array and pays:
+The spectrum-cached artifacts of :mod:`repro.core.plan` collapse the
+per-CIR filter bank into one forward FFT x 2-D spectrum matrix x one
+batched inverse FFT.  This module batches across the *other* axis —
+CIRs.  B CIRs of the same shape (same template bank, CIR length,
+upsampling factor) stack into a ``(B, N)`` array and pay:
 
-* **one** batched upsampling transform
-  (:func:`repro.signal.sampling.fft_upsample_batch`) instead of B,
+* **one** batched upsampling transform instead of B,
 * **one** ``(B, fft_length)`` forward FFT instead of B,
 * **one** ``(B, n_templates, fft_length)`` batched inverse FFT instead
   of B,
 
-then runs the search-and-subtract extraction *vectorised across the
+then run the search-and-subtract extraction *vectorised across the
 batch dimension* (:func:`repro.core.batch_extract.extract_responses_batch`):
 one argmax per iteration over the whole ``(B, n_templates * n_fine)``
 magnitude view, an active-row mask for ragged early-stop, and grouped
-batched small-FFT subtraction updates.  The decision arithmetic is
-shared with the serial loop (same helpers, same expression order) and
-pocketfft evaluates a row of a 2-D transform with the same kernel as
-the 1-D call, so results are byte-identical in practice and bounded at
-``rtol <= 1e-9`` by ``tests/test_properties_detection.py`` regardless.
+batched small-FFT subtraction updates.
 
-All batch transforms go through a pluggable array backend
-(:mod:`repro.core.backend` — NumPy+SciPy default, optional CuPy/torch),
-selected per plan; the backend name is part of the plan cache key.
+This is the only engine: :meth:`SearchAndSubtract.detect
+<repro.core.detection.SearchAndSubtract.detect>` is a batch of one, and
+:func:`repro.core.batch_id.classify_batch` is this pass followed by the
+shape decode.  The oracle it is tested against is the literal
+re-filtering loop :func:`repro.core.detection.detect_reference`
+(``rtol <= 1e-9``; observed agreement is at roundoff).  Row ``b`` of a
+batch is byte-identical to a batch of one on CIR ``b``: pocketfft
+evaluates a row of a 2-D transform with the same kernel as the 1-D
+call, and extraction decides each row from that row alone.
 
 Batch plans are memoised per ``(bank, CIR length, factor, B)`` shape in
-the same ``detector_plans`` cache the single-CIR path uses; the key
-*includes* the batch size (see :func:`repro.core.plan.plan_cache_key`),
-so a B=64 plan — which carries ``(B, n_templates, fft_length)`` scratch
-buffers and is not a :class:`~repro.core.plan.DetectorPlan` at all —
-can never be served to the single-CIR path.
+the same ``detector_plans`` cache as the shared :class:`DetectorPlan`;
+the key *includes* the batch size (see
+:func:`repro.core.plan.plan_cache_key`), so a B=64 plan — which carries
+``(B, n_templates, fft_length)`` scratch buffers — is never served to
+another batch size.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence
 
 import numpy as np
 from scipy import fft as sp_fft
 
-from repro.core.backend import ArrayBackend, resolve_backend
 from repro.core.batch_extract import extract_responses_batch
 from repro.core.detection import (
     DetectedResponse,
     SearchAndSubtractConfig,
     _per_trial_noise,
 )
-from repro.core.plan import DetectorPlan, plan_cache_key
+from repro.core.plan import (
+    DetectorPlan,
+    _template_key,
+    detector_plan,
+    plan_cache_key,
+)
 from repro.runtime.cache import get_cache
 from repro.runtime.metrics import global_metrics
 from repro.signal.pulses import Pulse
 
-__all__ = ["BatchDetectorPlan", "batch_detector_plan", "detect_batch"]
+__all__ = [
+    "BatchDetectorPlan",
+    "batch_detector_plan",
+    "detect_batch",
+    "private_plan",
+]
+
+#: Pass counter per engine prefix.  Each pass is counted and timed once,
+#: under the prefix of the entry point that ran it.
+_PASS_COUNTERS = {
+    "detector": "detector.batch_detects",
+    "classifier": "classifier.batch_classifies",
+}
 
 
 class BatchDetectorPlan:
-    """A :class:`DetectorPlan` extended with batch-shaped artifacts.
+    """A :class:`DetectorPlan` extended with batch-shaped scratch.
 
-    Wraps the (cached, batch-independent) base plan and adds what only
-    makes sense for a fixed batch size B: a preallocated
-    ``(B, n_templates, fft_length)`` complex scratch buffer for the
-    spectrum product, which at B=64 x 4 templates x ~9.4k bins is tens
-    of megabytes we do not want to reallocate on every engine pass.
+    Wraps the (cached, immutable) base plan and adds what only makes
+    sense for a fixed batch size B: preallocated
+    ``(B, n_templates, fft_length)`` complex and
+    ``(B, n_templates, n_fine)`` float scratch, which at B=64 x 4
+    templates x ~9.4k bins is tens of megabytes we do not want to
+    reallocate on every engine pass.
 
-    Because the scratch buffer is mutated on every call, a batch plan is
-    *not* shape-interchangeable: serving it where a different B (or the
-    single-CIR :class:`DetectorPlan`) is expected would at best raise a
-    broadcasting error and at worst silently alias another batch's
-    spectra.  For the same reason :meth:`filter_bank`'s return value may
-    alias the scratch buffer (the inverse FFT runs in place): it is
-    valid — and freely mutable, the extraction loop writes into it —
-    only until the next :meth:`filter_bank` call on the same plan, which
-    refills the buffer from scratch.  :func:`detect_batch` and
-    :func:`repro.core.batch_id.classify_batch` both consume the outputs
-    fully before returning, so the contract is internal.  That is why
-    :func:`repro.core.plan.plan_cache_key` keys plans by batch size —
-    the regression test lives in
-    ``tests/test_properties_detection.py::TestPlanCacheBatchKey``.
+    The scratch is mutated on every pass, so a batch plan is neither
+    shape-interchangeable nor thread-safe: :meth:`filter_pass` and
+    :meth:`magnitudes` return views into it that stay valid — and
+    freely mutable, the extraction loop writes into them — only until
+    the next pass on the same plan.  A cached plan is shared by every
+    same-shape caller in the process, so concurrent passes (threads,
+    a serving shard pool, :meth:`SearchAndSubtract.detect
+    <repro.core.detection.SearchAndSubtract.detect>`) each run on a
+    :func:`private_plan` instead.
     """
 
-    def __init__(
-        self,
-        base: DetectorPlan,
-        batch_size: int,
-        backend: Union[ArrayBackend, str, None] = None,
-    ) -> None:
+    def __init__(self, base: DetectorPlan, batch_size: int) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.base = base
         self.batch_size = int(batch_size)
-        self.backend = resolve_backend(backend)
-        xp = self.backend
-        self._product = xp.empty(
+        self._product = np.empty(
             (self.batch_size, len(base.templates), base.fft_length),
             dtype=complex,
         )
-        self._magnitudes = xp.empty(
+        self._magnitudes = np.empty(
             (self.batch_size, len(base.templates), base.n_fine),
             dtype=float,
         )
@@ -106,42 +111,31 @@ class BatchDetectorPlan:
         # (plus the split Nyquist bin) are ever written; the middle
         # stays zero from construction, so zeroing once here replaces a
         # ~8 MB memset per engine pass at B=64.
-        self._padded = xp.zeros(
+        self._padded = np.zeros(
             (self.batch_size, base.n_fine), dtype=complex
         )
-        self._spectra = xp.asarray(base.spectra)
-
-    def magnitudes(self, outputs: np.ndarray) -> np.ndarray:
-        """``np.abs(outputs)`` into the plan's reusable float scratch.
-
-        The extraction loop consumes a ``(B, n_templates, n_fine)``
-        magnitude tensor alongside the complex outputs; computing it
-        into a preallocated buffer avoids another ~16 MB allocation per
-        engine pass at B=64.  Same aliasing contract as
-        :meth:`filter_bank`: the result is valid (and mutable) until the
-        next call on this plan.
-        """
-        return self.backend.abs(outputs, out=self._magnitudes)
 
     @property
     def n_templates(self) -> int:
         return len(self.base.templates)
 
+    def magnitudes(self, outputs: np.ndarray) -> np.ndarray:
+        """``np.abs(outputs)`` into the plan's reusable float scratch."""
+        return np.abs(outputs, out=self._magnitudes)
+
     def filter_pass(self, cirs: np.ndarray) -> np.ndarray:
         """Upsample + matched-filter B native-rate CIRs in one pass.
 
         ``cirs`` is ``(B, cir_length)`` complex at the radio's tap rate;
-        returns the ``(B, n_templates, n_fine)`` complex output tensor
-        (same aliasing contract as :meth:`filter_bank`).  Equivalent to
-        ``filter_bank(fft_upsample_batch(cirs, U))`` but with the
-        spectrum zero-padding done into the plan's preallocated scratch
-        and every transform routed through the plan's array backend —
-        on the default NumPy backend that is ``scipy.fft`` with
-        ``workers=-1`` (each row evaluated with the same pocketfft
-        kernel as the 1-D call).
+        returns the ``(B, n_templates, n_fine)`` complex output tensor,
+        a view into the plan's scratch.  Row ``[b, t]`` equals
+        :func:`repro.core.matched_filter.matched_filter` of the
+        upsampled CIR ``b`` against fine template ``t``.  Every
+        transform passes ``workers=-1``: with B x n_templates
+        independent rows they row-parallelise trivially, and pocketfft
+        evaluates each row with the same kernel as the 1-D call.
         """
-        xp = self.backend
-        cirs = xp.asarray(cirs, dtype=complex)
+        cirs = np.asarray(cirs, dtype=complex)
         if cirs.shape != (self.batch_size, self.base.cir_length):
             raise ValueError(
                 f"plan built for shape "
@@ -153,7 +147,7 @@ class BatchDetectorPlan:
             working = cirs  # read-only below; extraction mutates outputs only
         else:
             n = self.base.cir_length
-            spectrum = xp.fft(cirs, axis=1)
+            spectrum = sp_fft.fft(cirs, axis=1, workers=-1)
             padded = self._padded
             # Same spectrum split as fft_upsample_batch: positive
             # frequencies at the head, negative at the tail, an even
@@ -165,84 +159,42 @@ class BatchDetectorPlan:
             if n % 2 == 0:
                 padded[:, half] = spectrum[:, half] / 2.0
                 padded[:, -half] = spectrum[:, half] / 2.0
-            working = xp.ifft(padded, axis=1)
+            working = sp_fft.ifft(padded, axis=1, workers=-1)
             working *= factor
-        forward = xp.fft(working, self.base.fft_length, axis=1)
-        xp.multiply(
-            forward[:, np.newaxis, :],
-            self._spectra[np.newaxis, :, :],
-            out=self._product,
-        )
-        outputs = xp.ifft(self._product, axis=2, overwrite=True)
-        return outputs[:, :, : self.base.n_fine]
-
-    def filter_bank(self, working: np.ndarray) -> np.ndarray:
-        """Matched-filter B upsampled signals against the whole bank.
-
-        ``working`` is ``(B, n_fine)``; returns the
-        ``(B, n_templates, n_fine)`` complex output tensor whose slice
-        ``[b]`` equals ``self.base.filter_bank(working[b])`` — one
-        forward FFT dispatch and one batched inverse FFT dispatch for
-        the entire batch.
-
-        Both dispatches pass ``workers=-1``: with B x n_templates
-        independent rows the transforms row-parallelise trivially, and
-        pocketfft's worker path evaluates each row with the same kernel
-        as the serial call, so per-row results stay bit-identical (the
-        property suite asserts ``rtol <= 1e-9`` regardless).  This is a
-        batched-only win — the serial path has a single row per
-        transform and nothing to parallelise over.
-        """
-        working = np.asarray(working)
-        if working.ndim != 2:
-            raise ValueError(
-                f"expected a (B, n_fine) batch, got shape {working.shape}"
-            )
-        if working.shape != (self.batch_size, self.base.n_fine):
-            raise ValueError(
-                f"plan built for shape {(self.batch_size, self.base.n_fine)},"
-                f" got {working.shape}"
-            )
-        forward = sp_fft.fft(
-            working, self.base.fft_length, axis=1, workers=-1
-        )
+        forward = sp_fft.fft(working, self.base.fft_length, axis=1, workers=-1)
         np.multiply(
             forward[:, np.newaxis, :],
             self.base.spectra[np.newaxis, :, :],
             out=self._product,
         )
-        # ``overwrite_x`` lets pocketfft transform the scratch buffer in
-        # place instead of allocating a second (B, n_templates,
-        # fft_length) tensor — at B=64 that is ~33 MB of allocation and
-        # write traffic per engine pass, which is exactly what makes
-        # large batches memory-bound.  The returned slice is a view
-        # whose per-(b, t) rows are contiguous, which is all the
-        # extraction loop touches; callers may mutate it freely because
-        # the buffer is refilled from scratch on the next call (the
-        # class docstring spells out the aliasing contract).
-        outputs = sp_fft.ifft(self._product, axis=2, workers=-1,
-                              overwrite_x=True)
+        # ``overwrite_x`` lets pocketfft transform the scratch in place
+        # instead of allocating a second (B, n_templates, fft_length)
+        # tensor — ~33 MB of allocation and write traffic per pass at
+        # B=64, exactly what makes large batches memory-bound.
+        outputs = sp_fft.ifft(
+            self._product, axis=2, workers=-1, overwrite_x=True
+        )
         return outputs[:, :, : self.base.n_fine]
 
 
-def _check_plan_shape(
-    plan: "BatchDetectorPlan",
-    batch_size: int,
+def private_plan(
+    templates: Sequence[Pulse],
     cir_length: int,
     upsample_factor: int,
-) -> None:
-    """Reject an explicitly supplied plan whose shape mismatches the call."""
-    if (
-        plan.batch_size != batch_size
-        or plan.base.cir_length != cir_length
-        or plan.base.upsample_factor != upsample_factor
-    ):
-        raise ValueError(
-            "explicit plan shape (B="
-            f"{plan.batch_size}, N={plan.base.cir_length}, "
-            f"U={plan.base.upsample_factor}) does not match the call "
-            f"(B={batch_size}, N={cir_length}, U={upsample_factor})"
-        )
+    sampling_period_s: float,
+    batch_size: int = 1,
+) -> BatchDetectorPlan:
+    """An uncached batch plan whose scratch belongs to the caller alone.
+
+    The immutable artifacts underneath come from the shared
+    :func:`~repro.core.plan.detector_plan` cache; only the scratch
+    buffers are new.  This is what a caller that may run concurrently
+    with others of the same shape passes as ``plan=``.
+    """
+    base = detector_plan(
+        templates, cir_length, upsample_factor, sampling_period_s
+    )
+    return BatchDetectorPlan(base, batch_size)
 
 
 def batch_detector_plan(
@@ -251,37 +203,125 @@ def batch_detector_plan(
     upsample_factor: int,
     sampling_period_s: float,
     batch_size: int,
-    backend: Optional[str] = None,
 ) -> BatchDetectorPlan:
     """A memoised :class:`BatchDetectorPlan` for a batched shape.
 
-    The underlying :class:`DetectorPlan` artifacts (spectra,
-    cross-correlation tables) are shared with the single-CIR path via
-    its own cache entry; only the thin batch wrapper (plus its scratch
-    buffer) is stored per batch size.  Both lookups count toward the
-    ``detector_plans`` hit rate shown in the runtime metrics report.
-
-    ``backend`` selects the array backend the plan's transforms run on
-    (``None`` follows the process default, see
-    :func:`repro.core.backend.get_backend`); the resolved name is part
-    of the cache key, so plans for different backends never collide.
+    The underlying :class:`DetectorPlan` artifacts are shared with every
+    other batch size via their own cache entry; only the thin batch
+    wrapper (plus its scratch) is stored per batch size.  Both lookups
+    count toward the ``detector_plans`` hit rate shown in the runtime
+    metrics report.
     """
-    from repro.core.plan import detector_plan
-
-    resolved = resolve_backend(backend)
     key = plan_cache_key(
         templates, cir_length, upsample_factor, sampling_period_s,
-        batch_size=batch_size, backend=resolved.name,
+        batch_size=batch_size,
+    )
+    return get_cache("detector_plans").get_or_create(
+        key,
+        lambda: private_plan(
+            templates, cir_length, upsample_factor, sampling_period_s,
+            batch_size,
+        ),
     )
 
-    def _build() -> BatchDetectorPlan:
-        with global_metrics().timer("detector.batch_plan_build").time():
-            base = detector_plan(
-                templates, cir_length, upsample_factor, sampling_period_s
-            )
-            return BatchDetectorPlan(base, batch_size, backend=resolved)
 
-    return get_cache("detector_plans").get_or_create(key, _build)
+def _check_plan(
+    plan: BatchDetectorPlan,
+    templates: Sequence[Pulse],
+    sampling_period_s: float,
+    batch_size: int,
+    cir_length: int,
+    upsample_factor: int,
+) -> None:
+    """Reject an explicitly supplied plan built for another call."""
+    base = plan.base
+    if (
+        plan.batch_size != batch_size
+        or base.cir_length != cir_length
+        or base.upsample_factor != upsample_factor
+    ):
+        raise ValueError(
+            "explicit plan shape (B="
+            f"{plan.batch_size}, N={base.cir_length}, "
+            f"U={base.upsample_factor}) does not match the call "
+            f"(B={batch_size}, N={cir_length}, U={upsample_factor})"
+        )
+    if base.sampling_period_s != float(sampling_period_s):
+        raise ValueError(
+            f"explicit plan built for sampling period "
+            f"{base.sampling_period_s!r} s, call uses "
+            f"{float(sampling_period_s)!r} s"
+        )
+    if base.template_keys != tuple(_template_key(t) for t in templates):
+        raise ValueError(
+            "explicit plan was built for a different template bank "
+            f"({len(base.template_keys)} templates) than the call's "
+            f"({len(templates)} templates)"
+        )
+
+
+def search_and_subtract(
+    cirs,
+    templates: Sequence[Pulse],
+    sampling_period_s: float,
+    config: SearchAndSubtractConfig | None,
+    noise_std,
+    plan: BatchDetectorPlan | None,
+    prefix: str,
+) -> List[List[DetectedResponse]]:
+    """The engine pass behind :func:`detect_batch` and ``classify_batch``.
+
+    ``prefix`` (``"detector"`` or ``"classifier"``) names the entry
+    point the pass is counted and timed under.
+    """
+    if len(templates) == 0:
+        raise ValueError("the engine needs at least one template")
+    config = config or SearchAndSubtractConfig()
+    cirs = np.asarray(cirs, dtype=complex)
+    if cirs.ndim == 1:
+        raise ValueError(
+            "expected a (B, N) batch of CIRs; wrap a single CIR as "
+            "cirs[np.newaxis, :] or call the single-CIR method instead"
+        )
+    if cirs.ndim != 2:
+        raise ValueError(f"expected a (B, N) batch, got shape {cirs.shape}")
+    batch_size, cir_length = cirs.shape
+    if batch_size == 0:
+        return []
+    stds = _per_trial_noise(noise_std, batch_size)
+    if plan is None:
+        plan = batch_detector_plan(
+            templates,
+            cir_length,
+            config.upsample_factor,
+            sampling_period_s,
+            batch_size,
+        )
+    else:
+        _check_plan(
+            plan, templates, sampling_period_s, batch_size, cir_length,
+            config.upsample_factor,
+        )
+
+    metrics = global_metrics()
+    metrics.counter(_PASS_COUNTERS[prefix]).inc()
+    metrics.counter(f"{prefix}.batch_trials").inc(batch_size)
+    with metrics.timer(f"{prefix}.batch_filter_pass").time():
+        outputs = plan.filter_pass(cirs)
+        magnitudes = plan.magnitudes(outputs)
+    with metrics.timer(f"{prefix}.batch_extract").time():
+        results = extract_responses_batch(
+            plan.base,
+            outputs,
+            magnitudes,
+            config,
+            sampling_period_s,
+            stds,
+            metric_prefix=prefix,
+        )
+    for responses in results:
+        responses.sort(key=lambda response: response.delay_s)
+    return results
 
 
 def detect_batch(
@@ -310,8 +350,6 @@ def detect_batch(
         Tap spacing of every CIR in the batch.
     config:
         Detector knobs; defaults to ``SearchAndSubtractConfig()``.
-        ``use_fast`` is ignored here — this *is* the fast engine; use
-        :meth:`SearchAndSubtract.detect_batch` for the escape hatch.
     noise_std:
         Scalar shared by all trials, or a length-B sequence of per-trial
         noise standard deviations (for the early-stop gate).
@@ -320,9 +358,10 @@ def detect_batch(
         bypassing the process-local plan cache.  The cache hands every
         same-shape caller the *same* plan object — whose scratch buffers
         are mutated on every pass — so concurrent engine passes from
-        multiple threads (e.g. the :mod:`repro.serve` shard pool) must
-        each bring a private plan instead.  The plan's shape (batch
-        size, CIR length, upsample factor) must match the call.
+        multiple threads must each bring a :func:`private_plan`.  The
+        plan must have been built for this call: same batch size, CIR
+        length, upsample factor, sampling period and templates, or
+        :class:`ValueError` is raised.
 
     Returns
     -------
@@ -333,55 +372,7 @@ def detect_batch(
     """
     if isinstance(templates, Pulse):
         templates = [templates]
-    templates = list(templates)
-    if len(templates) == 0:
-        raise ValueError("detect_batch needs at least one template")
-    config = config or SearchAndSubtractConfig()
-
-    cirs = np.asarray(cirs, dtype=complex)
-    if cirs.ndim == 1:
-        raise ValueError(
-            "detect_batch expects a (B, N) batch of CIRs; wrap a single "
-            "CIR as cirs[np.newaxis, :] or call detect() instead"
-        )
-    if cirs.ndim != 2:
-        raise ValueError(f"expected a (B, N) batch, got shape {cirs.shape}")
-    batch_size, cir_length = cirs.shape
-    if batch_size == 0:
-        return []
-    stds = _per_trial_noise(noise_std, batch_size)
-
-    metrics = global_metrics()
-    metrics.counter("detector.batch_detects").inc()
-    metrics.counter("detector.batch_trials").inc(batch_size)
-    if plan is None:
-        plan = batch_detector_plan(
-            templates,
-            cir_length,
-            config.upsample_factor,
-            sampling_period_s,
-            batch_size,
-        )
-    else:
-        _check_plan_shape(
-            plan, batch_size, cir_length, config.upsample_factor
-        )
-    with metrics.timer("detector.batch_filter_pass").time():
-        outputs = plan.filter_pass(cirs)
-        magnitudes = plan.magnitudes(outputs)
-    # Extraction runs host-side: device backends hand back NumPy views
-    # here so the decision loop stays byte-identical to the serial path.
-    host_outputs = plan.backend.to_numpy(outputs)
-    host_magnitudes = plan.backend.to_numpy(magnitudes)
-    with metrics.timer("detector.batch_extract").time():
-        results = extract_responses_batch(
-            plan.base,
-            host_outputs,
-            host_magnitudes,
-            config,
-            sampling_period_s,
-            stds,
-        )
-    for responses in results:
-        responses.sort(key=lambda response: response.delay_s)
-    return results
+    return search_and_subtract(
+        cirs, list(templates), sampling_period_s, config, noise_std, plan,
+        "detector",
+    )

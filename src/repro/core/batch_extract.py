@@ -1,35 +1,31 @@
 """Batch-vectorised search-and-subtract extraction.
 
-:func:`repro.core.detection.extract_responses` runs the paper's
-step 2–6 loop on *one* filter-bank output. The batched engines used to
-call it per trial in a Python loop, which left ~45 % of a B=64 engine
-pass in per-trial Python and per-call small FFTs. This module runs the
-same loop *across* the batch dimension:
+The paper's step 2–6 loop over a ``(B, n_templates, n_fine)``
+filter-bank output, run *across* the batch dimension rather than per
+CIR in a Python loop:
 
 * **peak-pick** — one ``argmax`` over the ``(B, n_templates * n_fine)``
   magnitude view per iteration (C-order, so each row's winner index is
-  exactly the serial ``np.unravel_index(np.argmax(...))`` pair);
+  exactly that row's ``np.unravel_index(np.argmax(...))`` pair);
 * **ragged termination** — an active-row mask: the early-stop gate and
   ``max_responses`` fire per row, and a stopped row's result list is
-  frozen exactly where the serial loop would have returned;
+  frozen exactly where a batch of one would have returned;
 * **template subtraction** — fractional, unclipped placements (the
   common case under sub-sample refinement) are grouped per template and
   updated with *batched* small FFTs: one fractional-delay ifft over the
   group, one ``(R, m)`` forward FFT, one ``(R, n_templates, m)``
   inverse FFT — instead of R separate 1-D transform chains.  The
   per-group forward FFT of the zero-padded template is computed once
-  per call (the serial path recomputes the identical transform on every
-  subtraction).  Integer unclipped placements read the plan's
-  precomputed cross-correlation table directly; clipped placements fall
-  back to :meth:`~repro.core.plan.DetectorPlan.subtract_response` — the
-  serial code itself — row by row.
+  per call.  Integer unclipped placements read the plan's precomputed
+  cross-correlation table directly; clipped placements fall back to
+  :meth:`~repro.core.plan.DetectorPlan.subtract_response` row by row.
 
-Numerical contract: every elementwise operation mirrors the serial
-expression order, batched transforms evaluate rows with the same
-pocketfft kernels as the 1-D calls, and the response arithmetic is the
-shared :func:`~repro.core.detection.build_response`.  The differential
-suite (``tests/test_properties_detection.py``) pins batched == serial
-at ``rtol <= 1e-9`` across ragged early-stop patterns.
+Numerical contract: every row's decisions depend on that row alone, so
+row ``b`` of a batch equals a batch of one on CIR ``b``; the
+differential suite (``tests/test_properties_detection.py``) pins that,
+and the agreement with the re-filtering oracle
+(:func:`repro.core.detection.detect_reference`), at ``rtol <= 1e-9``
+across ragged early-stop patterns.
 """
 
 from __future__ import annotations
@@ -43,12 +39,39 @@ from repro.core.detection import (
     DetectedResponse,
     SearchAndSubtractConfig,
     _parabolic_peak,
-    build_response,
 )
 from repro.core.plan import DetectorPlan
 from repro.runtime.metrics import global_metrics
 
 __all__ = ["extract_responses_batch"]
+
+
+def _build_response(
+    magnitudes: np.ndarray,
+    template_idx: int,
+    peak_idx: int,
+    position: float,
+    amplitude: complex,
+    factor: int,
+    period: float,
+    scale: float,
+) -> DetectedResponse:
+    """Assemble one :class:`DetectedResponse` from a picked peak.
+
+    ``magnitudes`` is the ``(n_templates, n_fine)`` magnitude matrix the
+    peak was picked from and ``amplitude`` the *raw* (unscaled) complex
+    filter output at the peak.
+    """
+    return DetectedResponse(
+        index=position / factor,
+        delay_s=position * period,
+        amplitude=amplitude / scale,
+        template_index=int(template_idx),
+        scores=tuple(
+            float(value) / scale
+            for value in magnitudes[:, peak_idx]
+        ),
+    )
 
 
 def _subtract_fractional_group(
@@ -74,7 +97,8 @@ def _subtract_fractional_group(
         samples = template.samples.astype(complex)
         padded = np.concatenate([samples, np.zeros(1, dtype=samples.dtype)])
         # Same spectrum fractional_delay computes per call; the phase
-        # base folds the serial left-to-right ``-2j*pi*freqs`` product.
+        # base folds fractional_delay's left-to-right ``-2j*pi*freqs``
+        # product.
         cached = (
             np.fft.fft(padded),
             -2j * np.pi * np.fft.fftfreq(len(padded)),
@@ -123,14 +147,12 @@ def extract_responses_batch(
     """Search-and-subtract over a ``(B, n_templates, n_fine)`` tensor.
 
     ``outputs``/``magnitudes`` are consumed destructively (step-5
-    updates write into them in place), exactly like the serial
-    :func:`~repro.core.detection.extract_responses` consumes one trial's
-    matrices.  ``stds`` carries one early-stop noise floor per row, so
-    rows terminate independently (ragged).
+    updates write into them in place).  ``stds`` carries one early-stop
+    noise floor per row, so rows terminate independently (ragged).
 
     Returns one response list per row, in extraction (amplitude) order;
-    callers sort by delay (paper step 7).  Entry ``b`` is identical to
-    ``extract_responses(plan, outputs[b], magnitudes[b], ...)``.
+    callers sort by delay (paper step 7).  Entry ``b`` depends on row
+    ``b`` alone.
     """
     metrics = global_metrics()
     n_rows, _n_templates, n_fine = magnitudes.shape
@@ -141,10 +163,10 @@ def extract_responses_batch(
     factor = config.upsample_factor
     period = sampling_period_s / factor
     scale = np.sqrt(factor)
-    # Same left-to-right product as the serial per-trial gate.
+    # Same left-to-right product as the reference loop's gate.
     gates = config.min_peak_snr * np.asarray(stds, dtype=float) * np.sqrt(factor)
 
-    # C-order view: a row's flat argmax is the serial unravel_index pair.
+    # C-order view: a row's flat argmax is its (template, peak) pair.
     flat = magnitudes.reshape(n_rows, -1)
     active = np.ones(n_rows, dtype=bool)
     update_counter = metrics.counter(f"{metric_prefix}.incremental_updates")
@@ -178,7 +200,7 @@ def extract_responses_batch(
             amplitude = complex(outputs[row, t, p])
             picked[row] = (t, p, position, amplitude)
             results[row].append(
-                build_response(
+                _build_response(
                     magnitudes[row], t, p, position, amplitude,
                     factor, period, scale,
                 )

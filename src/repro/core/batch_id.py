@@ -2,29 +2,12 @@
 
 Responder identification is the same workload as detection — matched
 filtering against the whole template bank — plus a per-response winner
-pick, so it batches across trials exactly like
-:mod:`repro.core.batch`: B independent CIRs of the same shape stack
-into one ``(B, N)`` array and pay **one** batched upsampling transform,
-**one** 2-D forward FFT, and **one** ``(B, n_templates, fft_length)``
-batched inverse FFT, instead of B of each.  Extraction then runs
-vectorised across the batch
-(:func:`repro.core.batch_extract.extract_responses_batch` — argmax
-peak-pick over the magnitude tensor, active-row mask for ragged
-early-stop, grouped batched subtraction updates), and the winner pick
-per response is the shared serial
-:func:`repro.core.pulse_id.classify_responses`.
-
-Because the decision arithmetic is shared with the serial
-:class:`~repro.core.pulse_id.PulseShapeClassifier` code, batched and
-serial classification can only diverge in the transforms — and those
-are bounded at ``rtol <= 1e-9`` by the differential sweep in
-``tests/test_properties_detection.py`` (observed: bit-identical).
-
-Plans are memoised in the same ``detector_plans`` runtime cache as the
-detection plans, under a key that discriminates both the batch shape
-(``("batch", B)``) *and* the plan family (``kind="classifier"``), so a
-classifier plan can never shadow a detector plan of the same shape (see
-:func:`repro.core.plan.plan_cache_key`).
+pick, so :func:`classify_batch` is exactly the
+:func:`repro.core.batch.detect_batch` engine pass over the bank followed
+by the shared :func:`repro.core.pulse_id.classify_responses`.
+:meth:`PulseShapeClassifier.classify
+<repro.core.pulse_id.PulseShapeClassifier.classify>` is a batch of one
+through it.
 
 :class:`ClassifyBatchTrial` packages the whole pipeline for the trial
 runtime: experiments supply picklable ``prepare``/``finish`` callables
@@ -41,30 +24,17 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backend import resolve_backend
-from repro.core.batch import BatchDetectorPlan, batch_detector_plan
-from repro.core.batch_extract import extract_responses_batch
-from repro.core.detection import (
-    SearchAndSubtractConfig,
-    _per_trial_noise,
-)
-from repro.core.plan import plan_cache_key
+from repro.core.batch import BatchDetectorPlan, search_and_subtract
+from repro.core.detection import SearchAndSubtractConfig
 from repro.core.pulse_id import (
     ClassifiedResponse,
     PulseShapeClassifier,
     classify_responses,
 )
-from repro.runtime.cache import get_cache
 from repro.runtime.executor import BatchTrial, WorkloadShape
-from repro.runtime.metrics import global_metrics
 from repro.signal.templates import TemplateBank
 
-__all__ = [
-    "BatchClassifierPlan",
-    "ClassifyBatchTrial",
-    "batch_classifier_plan",
-    "classify_batch",
-]
+__all__ = ["ClassifyBatchTrial", "classify_batch"]
 
 #: ``prepare(rng, index) -> (cir, noise_std, context)``: everything a
 #: trial does *before* classification (topology, channels, capture).
@@ -79,103 +49,6 @@ FinishFn = Callable[
 ]
 
 
-class BatchClassifierPlan:
-    """A batched classification plan: detector plan + template bank.
-
-    Thin by design — the heavy artifacts (template spectra,
-    cross-correlation tables, the ``(B, n_templates, fft_length)``
-    scratch buffer) all live on the wrapped
-    :class:`~repro.core.batch.BatchDetectorPlan`, which is itself shared
-    with the batched *detection* path through the cache.  What the
-    classifier plan adds is the binding to a
-    :class:`~repro.signal.templates.TemplateBank` (template index ←→
-    responder identity, the paper's Sect. V mapping) so one memoised
-    object captures the full identification shape.
-    """
-
-    def __init__(self, detector: BatchDetectorPlan, bank: TemplateBank) -> None:
-        if len(bank) != detector.n_templates:
-            raise ValueError(
-                f"bank has {len(bank)} templates but the detector plan "
-                f"was built for {detector.n_templates}"
-            )
-        self.detector = detector
-        self.bank = bank
-
-    @property
-    def batch_size(self) -> int:
-        return self.detector.batch_size
-
-    @property
-    def n_templates(self) -> int:
-        return self.detector.n_templates
-
-    @property
-    def backend(self):
-        return self.detector.backend
-
-    def filter_bank(self, working: np.ndarray) -> np.ndarray:
-        """One batched filter-bank pass (see
-        :meth:`BatchDetectorPlan.filter_bank`)."""
-        return self.detector.filter_bank(working)
-
-    def filter_pass(self, cirs: np.ndarray) -> np.ndarray:
-        """Upsample + filter native-rate CIRs (see
-        :meth:`BatchDetectorPlan.filter_pass`)."""
-        return self.detector.filter_pass(cirs)
-
-    def magnitudes(self, outputs: np.ndarray) -> np.ndarray:
-        """Magnitude tensor in reusable scratch (see
-        :meth:`BatchDetectorPlan.magnitudes`)."""
-        return self.detector.magnitudes(outputs)
-
-
-def batch_classifier_plan(
-    bank: TemplateBank,
-    cir_length: int,
-    upsample_factor: int,
-    sampling_period_s: float,
-    batch_size: int,
-    backend: Optional[str] = None,
-) -> BatchClassifierPlan:
-    """A memoised :class:`BatchClassifierPlan` for one batched shape.
-
-    Three cache levels share work: the base
-    :class:`~repro.core.plan.DetectorPlan` (spectra, correlation tables)
-    is shared with *every* path of this shape; the
-    :class:`~repro.core.batch.BatchDetectorPlan` (batch scratch) is
-    shared with batched detection at the same B *and* backend; only the
-    classifier binding itself is stored per ``kind="classifier"`` key.
-    All lookups count toward the ``detector_plans`` hit rate in the
-    metrics report.
-    """
-    templates = list(bank)
-    resolved = resolve_backend(backend)
-    key = plan_cache_key(
-        templates,
-        cir_length,
-        upsample_factor,
-        sampling_period_s,
-        batch_size=batch_size,
-        kind="classifier",
-        backend=resolved.name,
-    )
-
-    def _build() -> BatchClassifierPlan:
-        with global_metrics().timer("classifier.batch_plan_build").time():
-            detector = batch_detector_plan(
-                templates,
-                cir_length,
-                upsample_factor,
-                sampling_period_s,
-                batch_size,
-                backend=resolved.name,
-            )
-            return BatchClassifierPlan(detector, bank)
-
-    return get_cache("detector_plans").get_or_create(key, _build)
-
-
 def classify_batch(
     cirs,
     bank: TemplateBank,
@@ -183,9 +56,14 @@ def classify_batch(
     config: SearchAndSubtractConfig | None = None,
     noise_std=0.0,
     *,
-    plan: BatchClassifierPlan | None = None,
+    plan: BatchDetectorPlan | None = None,
 ) -> List[List[ClassifiedResponse]]:
     """Jointly detect and identify responses in B stacked CIRs.
+
+    The :func:`~repro.core.batch.detect_batch` engine pass over the
+    bank, followed by the shared per-response winner pick
+    (:func:`~repro.core.pulse_id.classify_responses`).  The pass is
+    counted and timed under the ``classifier.`` prefix only.
 
     Parameters
     ----------
@@ -200,18 +78,15 @@ def classify_batch(
         Tap spacing of every CIR in the batch.
     config:
         Detector knobs; defaults to ``SearchAndSubtractConfig()``.
-        ``use_fast`` is ignored here — this *is* the fast engine; use
-        :meth:`PulseShapeClassifier.classify_batch` for the serial
-        escape hatch.
     noise_std:
         Scalar shared by all trials, or a length-B sequence of per-trial
         noise standard deviations (for the early-stop gate).
     plan:
-        Optional explicit :class:`BatchClassifierPlan`, bypassing the
-        plan cache — required when several threads classify
-        concurrently, because cached plans share mutable scratch (see
-        :func:`repro.core.batch.detect_batch`).  The plan's shape and
-        bank must match the call.
+        Optional explicit :class:`~repro.core.batch.BatchDetectorPlan`
+        over the bank, bypassing the plan cache — required when several
+        threads classify concurrently, because cached plans share
+        mutable scratch (see :func:`repro.core.batch.detect_batch`,
+        which also documents the mismatch check).
 
     Returns
     -------
@@ -223,63 +98,11 @@ def classify_batch(
     """
     if len(bank) < 1:
         raise ValueError("classify_batch needs a non-empty template bank")
-    config = config or SearchAndSubtractConfig()
-
-    cirs = np.asarray(cirs, dtype=complex)
-    if cirs.ndim == 1:
-        raise ValueError(
-            "classify_batch expects a (B, N) batch of CIRs; wrap a single "
-            "CIR as cirs[np.newaxis, :] or call classify() instead"
-        )
-    if cirs.ndim != 2:
-        raise ValueError(f"expected a (B, N) batch, got shape {cirs.shape}")
-    batch_size, cir_length = cirs.shape
-    if batch_size == 0:
-        return []
-    stds = _per_trial_noise(noise_std, batch_size)
-
-    metrics = global_metrics()
-    metrics.counter("classifier.batch_classifies").inc()
-    metrics.counter("classifier.batch_trials").inc(batch_size)
-    if plan is None:
-        plan = batch_classifier_plan(
-            bank,
-            cir_length,
-            config.upsample_factor,
-            sampling_period_s,
-            batch_size,
-        )
-    else:
-        from repro.core.batch import _check_plan_shape
-
-        _check_plan_shape(
-            plan.detector, batch_size, cir_length, config.upsample_factor
-        )
-        if plan.bank is not bank and len(plan.bank) != len(bank):
-            raise ValueError(
-                f"explicit plan bank has {len(plan.bank)} templates, "
-                f"call supplied {len(bank)}"
-            )
-    with metrics.timer("classifier.batch_filter_pass").time():
-        outputs = plan.filter_pass(cirs)
-        magnitudes = plan.magnitudes(outputs)
-    host_outputs = plan.backend.to_numpy(outputs)
-    host_magnitudes = plan.backend.to_numpy(magnitudes)
-    with metrics.timer("classifier.batch_extract").time():
-        extracted = extract_responses_batch(
-            plan.detector.base,
-            host_outputs,
-            host_magnitudes,
-            config,
-            sampling_period_s,
-            stds,
-            metric_prefix="classifier",
-        )
-    results: List[List[ClassifiedResponse]] = []
-    for responses in extracted:
-        responses.sort(key=lambda response: response.delay_s)
-        results.append(classify_responses(responses))
-    return results
+    extracted = search_and_subtract(
+        cirs, list(bank), sampling_period_s, config, noise_std, plan,
+        "classifier",
+    )
+    return [classify_responses(responses) for responses in extracted]
 
 
 # -- runtime bridge ----------------------------------------------------------
@@ -295,7 +118,7 @@ def _classify_trial_single(
     sampling_period_s: float,
     config: Optional[SearchAndSubtractConfig],
 ) -> Any:
-    """One trial through the serial classifier (the reference path)."""
+    """One trial through :meth:`PulseShapeClassifier.classify`."""
     cir, noise_std, context = prepare(rng, index)
     classifier = PulseShapeClassifier(bank, config)
     classified = classifier.classify(
@@ -347,7 +170,7 @@ class ClassifyBatchTrial(BatchTrial):
         prepare(rng, index) -> (cir, noise_std, context)
         finish(classified, context, rng, index) -> value
 
-    and the trial runs either serially (``prepare`` → serial
+    and the trial runs either one at a time (``prepare`` →
     :meth:`PulseShapeClassifier.classify` → ``finish``) or in groups
     through :func:`classify_batch` (all ``prepare`` calls, one batched
     engine pass over the stacked CIRs with a per-trial ``noise_std``

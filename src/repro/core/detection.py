@@ -20,19 +20,19 @@ matched-filter outputs jointly and records which template won each
 iteration; that is exactly the pulse-shape identification of Sect. V, so
 :mod:`repro.core.pulse_id` builds directly on this class.
 
-Two numerically equivalent execution engines implement the loop:
+One engine plus one oracle implement the loop:
 
-* the **fast path** (default) pulls a spectrum-cached
-  :class:`~repro.core.plan.DetectorPlan` from the runtime cache,
-  evaluates the whole template bank as one batched FFT product, and —
+* the **engine** (:func:`repro.core.batch.detect_batch`) evaluates the
+  whole template bank of B stacked CIRs as one batched FFT product over
+  a spectrum-cached :class:`~repro.core.plan.DetectorPlan` and —
   because filtering is linear — realises step 5 as an O(L_template)
   in-place update of the filter outputs using precomputed template
   cross-correlations, instead of re-filtering the full CIR on every
-  iteration;
-* the **naive path** (``SearchAndSubtractConfig(use_fast=False)``) is
-  the literal transcription of the paper's steps: subtract from the
-  working signal, re-run every matched filter.  It is the reference the
-  fast path is regression-tested against.
+  iteration.  :meth:`SearchAndSubtract.detect` is a batch of one;
+* the **oracle** (:func:`detect_reference`) is the literal
+  transcription of the paper's steps: subtract from the working signal,
+  re-run every matched filter.  Tests and ``benchmarks/bench_detector.py``
+  call it directly to check the engine.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.core.matched_filter import matched_filter
-from repro.core.plan import DetectorPlan, detector_plan
 from repro.runtime.metrics import global_metrics
 from repro.signal.pulses import Pulse
 from repro.signal.sampling import fft_upsample, place_pulse
@@ -100,17 +99,12 @@ class SearchAndSubtractConfig:
         ``max_responses`` peaks.
     refine_subsample:
         Parabolic sub-sample refinement of each peak position.
-    use_fast:
-        Run the spectrum-cached batched-FFT engine (default).  Set to
-        ``False`` for the naive per-template re-filtering loop — the
-        escape hatch the fast path is regression-tested against.
     """
 
     max_responses: int = 1
     upsample_factor: int = 8
     min_peak_snr: float = 0.0
     refine_subsample: bool = True
-    use_fast: bool = True
 
     def __post_init__(self) -> None:
         if self.max_responses < 1:
@@ -148,103 +142,6 @@ def _per_trial_noise(noise_std, n_trials: int) -> List[float]:
     return stds
 
 
-def build_response(
-    magnitudes: np.ndarray,
-    template_idx: int,
-    peak_idx: int,
-    position: float,
-    amplitude: complex,
-    factor: int,
-    period: float,
-    scale: float,
-) -> DetectedResponse:
-    """Assemble one :class:`DetectedResponse` from a picked peak.
-
-    ``magnitudes`` is the ``(n_templates, n_fine)`` magnitude matrix the
-    peak was picked from and ``amplitude`` the *raw* (unscaled) complex
-    filter output at the peak. Shared by the serial extraction loop and
-    the batch-vectorised one (:mod:`repro.core.batch_extract`) so the
-    response arithmetic lives in exactly one place.
-    """
-    return DetectedResponse(
-        index=position / factor,
-        delay_s=position * period,
-        amplitude=amplitude / scale,
-        template_index=int(template_idx),
-        scores=tuple(
-            float(value) / scale
-            for value in magnitudes[:, peak_idx]
-        ),
-    )
-
-
-def extract_responses(
-    plan: DetectorPlan,
-    outputs: np.ndarray,
-    magnitudes: np.ndarray,
-    config: SearchAndSubtractConfig,
-    sampling_period_s: float,
-    noise_std: float,
-) -> List[DetectedResponse]:
-    """The search-and-subtract extraction loop over one filter-bank output.
-
-    ``outputs`` is the ``(n_templates, n_fine)`` complex filter-bank
-    matrix for one CIR and ``magnitudes`` its ``np.abs``; both are
-    consumed destructively (the incremental step-5 update writes into
-    them in place).  This single function is the decision core shared by
-    the serial fast path (:meth:`SearchAndSubtract.detect`) and the
-    cross-trial batched engine (:func:`repro.core.batch.detect_batch`)
-    — sharing it is what makes the two paths *identical by
-    construction* once their filter-bank outputs agree.
-
-    Returns responses in extraction (amplitude) order; callers sort by
-    delay (paper step 7).
-    """
-    metrics = global_metrics()
-    factor = config.upsample_factor
-    period = sampling_period_s / factor
-    # See SearchAndSubtract._detect_naive for the noise-scaling rationale.
-    gate = config.min_peak_snr * noise_std * np.sqrt(factor)
-    scale = np.sqrt(factor)
-
-    responses: List[DetectedResponse] = []
-    for iteration in range(config.max_responses):
-        template_idx, peak_idx = np.unravel_index(
-            int(np.argmax(magnitudes)), magnitudes.shape
-        )
-        best_value = float(magnitudes[template_idx, peak_idx])
-        if best_value <= 0.0:
-            break
-        if gate > 0.0 and best_value < gate:
-            break
-
-        position = (
-            _parabolic_peak(magnitudes[template_idx], peak_idx)
-            if config.refine_subsample
-            else float(peak_idx)
-        )
-        amplitude = complex(outputs[template_idx, peak_idx])
-        responses.append(
-            build_response(
-                magnitudes, int(template_idx), int(peak_idx),
-                position, amplitude, factor, period, scale,
-            )
-        )
-        if iteration + 1 >= config.max_responses:
-            break  # the final subtraction would never be observed
-        # Step 5, incrementally: only a template-footprint window of
-        # each filter output changes, so update it in place instead
-        # of re-filtering the whole CIR.
-        with metrics.timer("detector.incremental_update").time():
-            a, b = plan.subtract_response(
-                outputs, int(template_idx), position, amplitude
-            )
-            if a < b:
-                np.abs(outputs[:, a:b], out=magnitudes[:, a:b])
-        metrics.counter("detector.incremental_updates").inc()
-    return responses
-
-
 class SearchAndSubtract:
     """Iterative matched-filter detector over one or more templates."""
 
@@ -264,28 +161,6 @@ class SearchAndSubtract:
     def templates(self) -> List[Pulse]:
         return list(self._templates)
 
-    def _plan(self, cir_length: int, sampling_period_s: float) -> DetectorPlan:
-        """The cached frequency-domain plan for this detection shape."""
-        return detector_plan(
-            self._templates,
-            cir_length,
-            self.config.upsample_factor,
-            sampling_period_s,
-        )
-
-    def _upsampled_templates(self, sampling_period_s: float) -> List[Pulse]:
-        """Templates matching the upsampled CIR rate."""
-        target = sampling_period_s / self.config.upsample_factor
-        resampled = []
-        for template in self._templates:
-            # atol=0: default atol (1e-8) would call any two sub-ns
-            # periods "close" and silently skip the resampling.
-            if np.isclose(template.sampling_period_s, target, rtol=1e-9, atol=0.0):
-                resampled.append(template)
-            else:
-                resampled.append(template.resampled(target))
-        return resampled
-
     def detect(
         self,
         cir: np.ndarray,
@@ -293,6 +168,11 @@ class SearchAndSubtract:
         noise_std: float = 0.0,
     ) -> List[DetectedResponse]:
         """Run the full search-and-subtract loop on a CIR.
+
+        A batch of one through :func:`repro.core.batch.detect_batch`, on
+        a private plan: the cached shape artifacts are immutable, and
+        the scratch buffers belong to this call alone, so ``detect`` is
+        safe to call from several threads at once.
 
         Parameters
         ----------
@@ -310,141 +190,25 @@ class SearchAndSubtract:
             At most ``config.max_responses`` responses, sorted by delay
             ascending (paper step 7).
         """
+        from repro.core.batch import detect_batch, private_plan
+
         cir = np.asarray(cir, dtype=complex)
         if cir.ndim != 1:
             raise ValueError(f"expected a 1-D CIR, got shape {cir.shape}")
-        if self.config.use_fast:
-            responses = self._detect_fast(cir, sampling_period_s, noise_std)
-        else:
-            responses = self._detect_naive(cir, sampling_period_s, noise_std)
-        responses.sort(key=lambda response: response.delay_s)
-        return responses
-
-    # -- fast path -----------------------------------------------------------
-
-    def _detect_fast(
-        self,
-        cir: np.ndarray,
-        sampling_period_s: float,
-        noise_std: float,
-    ) -> List[DetectedResponse]:
-        """Batched filter bank + incremental subtraction (the default)."""
-        metrics = global_metrics()
-        metrics.counter("detector.fast_detects").inc()
-        factor = self.config.upsample_factor
-        plan = self._plan(len(cir), sampling_period_s)
-        with metrics.timer("detector.fast_filter_pass").time():
-            working = fft_upsample(cir, factor)
-            # One forward FFT, one batched inverse FFT for the whole bank.
-            outputs = plan.filter_bank(working)
-        magnitudes = np.abs(outputs)
-        return extract_responses(
-            plan, outputs, magnitudes, self.config, sampling_period_s,
-            noise_std,
+        plan = private_plan(
+            self._templates,
+            len(cir),
+            self.config.upsample_factor,
+            sampling_period_s,
         )
-
-    def detect_batch(
-        self,
-        cirs,
-        sampling_period_s: float,
-        noise_std=0.0,
-    ) -> List[List[DetectedResponse]]:
-        """Detect a whole batch of equal-length CIRs in one engine pass.
-
-        Delegates to :func:`repro.core.batch.detect_batch`: the B CIRs
-        are stacked into one 2-D array, upsampled with a single batched
-        FFT, and matched-filtered against the whole bank as one forward
-        transform x spectrum matrix x batched inverse transform per
-        search-and-subtract iteration.  Per-trial results are identical
-        to calling :meth:`detect` on each CIR (same extraction loop,
-        same plan artifacts; the batched transforms agree with the
-        serial ones to roundoff — byte-identical on pocketfft builds).
-
-        ``noise_std`` may be a scalar (shared by all trials) or a
-        sequence of per-trial values.  With
-        ``config.use_fast=False`` the naive serial engine runs per CIR
-        instead — the escape hatch the batched path is tested against.
-        """
-        from repro.core.batch import detect_batch as _detect_batch
-
-        if not self.config.use_fast:
-            stds = _per_trial_noise(noise_std, len(cirs))
-            return [
-                self.detect(cir, sampling_period_s, noise_std=std)
-                for cir, std in zip(cirs, stds)
-            ]
-        return _detect_batch(
-            cirs,
+        return detect_batch(
+            cir[np.newaxis, :],
             self._templates,
             sampling_period_s,
             config=self.config,
             noise_std=noise_std,
-        )
-
-    # -- naive path ----------------------------------------------------------
-
-    def _detect_naive(
-        self,
-        cir: np.ndarray,
-        sampling_period_s: float,
-        noise_std: float,
-    ) -> List[DetectedResponse]:
-        """Literal per-iteration re-filtering (the reference engine)."""
-        global_metrics().counter("detector.naive_detects").inc()
-        factor = self.config.upsample_factor
-        working = fft_upsample(cir, factor)
-        period = sampling_period_s / factor
-        templates = self._upsampled_templates(sampling_period_s)
-        # FFT interpolation preserves per-sample noise std; with unit-energy
-        # templates the matched-filter output noise has (approximately) the
-        # same std. Upsampled templates have their energy spread over
-        # factor-times more samples, so renormalisation keeps them
-        # unit-energy at the new rate.
-        gate = self.config.min_peak_snr * noise_std * np.sqrt(factor)
-
-        responses: List[DetectedResponse] = []
-        for _ in range(self.config.max_responses):
-            best = self._strongest_peak(working, templates)
-            if best is None:
-                break
-            template_idx, peak_idx, outputs, magnitude = best
-            if gate > 0.0 and magnitude[peak_idx] < gate:
-                break
-
-            position = (
-                _parabolic_peak(magnitude, peak_idx)
-                if self.config.refine_subsample
-                else float(peak_idx)
-            )
-            amplitude = complex(outputs[template_idx][peak_idx])
-            # Unit-energy templates at the upsampled rate spread their
-            # energy over `factor` times more samples, which inflates
-            # matched-filter amplitudes by sqrt(factor); report (and
-            # score) amplitudes in native CIR units, but keep the raw
-            # value for the subtraction, which uses the fine template.
-            scale = np.sqrt(factor)
-            scores = tuple(
-                float(np.abs(out[peak_idx])) / scale for out in outputs
-            )
-            responses.append(
-                DetectedResponse(
-                    index=position / factor,
-                    delay_s=position * period,
-                    amplitude=amplitude / scale,
-                    template_index=template_idx,
-                    scores=scores,
-                )
-            )
-            # Step 5: subtract the estimated response from the signal.
-            template = templates[template_idx]
-            place_pulse(
-                working,
-                template.samples.astype(complex),
-                position,
-                amplitude=-amplitude,
-                peak_index=template.peak_index,
-            )
-        return responses
+            plan=plan,
+        )[0]
 
     def detect_with_ls_refinement(
         self,
@@ -472,45 +236,132 @@ class SearchAndSubtract:
             cir, responses, self._templates, sampling_period_s
         )
 
-    def _strongest_peak(
-        self, working: np.ndarray, templates: List[Pulse]
-    ) -> tuple[int, int, List[np.ndarray], np.ndarray] | None:
-        """Best (template, index) over all matched-filter outputs.
 
-        Returns ``(template_idx, peak_idx, outputs, magnitude)`` where
-        ``magnitude`` is the winning template's ``np.abs`` output — the
-        peak search already computed it, so callers must not recompute.
-        """
-        outputs = [matched_filter(working, template) for template in templates]
-        best_template = -1
-        best_index = -1
-        best_value = -np.inf
-        best_magnitude: np.ndarray | None = None
-        for i, output in enumerate(outputs):
-            magnitude = np.abs(output)
-            idx = int(np.argmax(magnitude))
-            if magnitude[idx] > best_value:
-                best_value = float(magnitude[idx])
-                best_template = i
-                best_index = idx
-                best_magnitude = magnitude
-        if best_template < 0 or best_value <= 0.0 or best_magnitude is None:
-            return None
-        return best_template, best_index, outputs, best_magnitude
+# -- the oracle --------------------------------------------------------------
 
-    def matched_filter_output(
-        self, cir: np.ndarray, sampling_period_s: float, template_index: int = 0
-    ) -> np.ndarray:
-        """The (upsampled) matched-filter output for one template —
-        the curves plotted in the paper's Fig. 4b and Fig. 6b."""
-        cir = np.asarray(cir, dtype=complex)
-        if self.config.use_fast:
-            plan = self._plan(len(cir), sampling_period_s)
-            working = fft_upsample(cir, self.config.upsample_factor)
-            return plan.filter_bank(working)[template_index]
-        working = fft_upsample(cir, self.config.upsample_factor)
-        templates = self._upsampled_templates(sampling_period_s)
-        return matched_filter(working, templates[template_index])
+
+def _upsampled_templates(
+    templates: Sequence[Pulse], target_period_s: float
+) -> List[Pulse]:
+    """Templates resampled to the upsampled CIR rate."""
+    resampled = []
+    for template in templates:
+        # atol=0: default atol (1e-8) would call any two sub-ns
+        # periods "close" and silently skip the resampling.
+        if np.isclose(
+            template.sampling_period_s, target_period_s, rtol=1e-9, atol=0.0
+        ):
+            resampled.append(template)
+        else:
+            resampled.append(template.resampled(target_period_s))
+    return resampled
+
+
+def _strongest_peak(
+    working: np.ndarray, templates: List[Pulse]
+) -> tuple[int, int, List[np.ndarray], np.ndarray] | None:
+    """Best (template, index) over all matched-filter outputs.
+
+    Returns ``(template_idx, peak_idx, outputs, magnitude)`` where
+    ``magnitude`` is the winning template's ``np.abs`` output — the
+    peak search already computed it, so callers must not recompute.
+    """
+    outputs = [matched_filter(working, template) for template in templates]
+    best_template = -1
+    best_index = -1
+    best_value = -np.inf
+    best_magnitude: np.ndarray | None = None
+    for i, output in enumerate(outputs):
+        magnitude = np.abs(output)
+        idx = int(np.argmax(magnitude))
+        if magnitude[idx] > best_value:
+            best_value = float(magnitude[idx])
+            best_template = i
+            best_index = idx
+            best_magnitude = magnitude
+    if best_template < 0 or best_value <= 0.0 or best_magnitude is None:
+        return None
+    return best_template, best_index, outputs, best_magnitude
+
+
+def detect_reference(
+    cir: np.ndarray,
+    templates: TemplateBank | Pulse | Sequence[Pulse],
+    sampling_period_s: float,
+    config: SearchAndSubtractConfig | None = None,
+    noise_std: float = 0.0,
+) -> List[DetectedResponse]:
+    """The oracle: literal per-iteration re-filtering of the paper's steps.
+
+    Same inputs and outputs as ``SearchAndSubtract(templates, config)
+    .detect(cir, sampling_period_s, noise_std)``, computed the slow,
+    obvious way — every iteration subtracts the estimated response from
+    the working signal and re-runs every matched filter.  The engine
+    (:func:`repro.core.batch.detect_batch`) is tested against it at
+    ``rtol <= 1e-9``.
+    """
+    global_metrics().counter("detector.naive_detects").inc()
+    if isinstance(templates, Pulse):
+        templates = [templates]
+    config = config or SearchAndSubtractConfig()
+    cir = np.asarray(cir, dtype=complex)
+    if cir.ndim != 1:
+        raise ValueError(f"expected a 1-D CIR, got shape {cir.shape}")
+    factor = config.upsample_factor
+    working = fft_upsample(cir, factor)
+    period = sampling_period_s / factor
+    fine = _upsampled_templates(list(templates), period)
+    # FFT interpolation preserves per-sample noise std; with unit-energy
+    # templates the matched-filter output noise has (approximately) the
+    # same std. Upsampled templates have their energy spread over
+    # factor-times more samples, so renormalisation keeps them
+    # unit-energy at the new rate.
+    gate = config.min_peak_snr * noise_std * np.sqrt(factor)
+
+    responses: List[DetectedResponse] = []
+    for _ in range(config.max_responses):
+        best = _strongest_peak(working, fine)
+        if best is None:
+            break
+        template_idx, peak_idx, outputs, magnitude = best
+        if gate > 0.0 and magnitude[peak_idx] < gate:
+            break
+
+        position = (
+            _parabolic_peak(magnitude, peak_idx)
+            if config.refine_subsample
+            else float(peak_idx)
+        )
+        amplitude = complex(outputs[template_idx][peak_idx])
+        # Unit-energy templates at the upsampled rate spread their
+        # energy over `factor` times more samples, which inflates
+        # matched-filter amplitudes by sqrt(factor); report (and
+        # score) amplitudes in native CIR units, but keep the raw
+        # value for the subtraction, which uses the fine template.
+        scale = np.sqrt(factor)
+        scores = tuple(
+            float(np.abs(out[peak_idx])) / scale for out in outputs
+        )
+        responses.append(
+            DetectedResponse(
+                index=position / factor,
+                delay_s=position * period,
+                amplitude=amplitude / scale,
+                template_index=template_idx,
+                scores=scores,
+            )
+        )
+        # Step 5: subtract the estimated response from the signal.
+        template = fine[template_idx]
+        place_pulse(
+            working,
+            template.samples.astype(complex),
+            position,
+            amplitude=-amplitude,
+            peak_index=template.peak_index,
+        )
+    responses.sort(key=lambda response: response.delay_s)
+    return responses
 
 
 def refine_amplitudes_least_squares(

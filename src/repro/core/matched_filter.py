@@ -13,7 +13,6 @@ unbiased amplitude estimate for an isolated response.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.signal.pulses import Pulse
 
@@ -61,54 +60,15 @@ def matched_filter(
             f"peak_index {peak_index} outside template of length {len(samples)}"
         )
 
+    # Imported here, not at module level: scipy.signal drags in
+    # scipy.stats/optimize/interpolate, which would dominate the
+    # package's import time, and only the reference detector and the
+    # Fig. 4 experiment filter this way — the engine never does.
+    from scipy import signal as sp_signal
+
     # full correlation: c[k] = sum_j cir[k - (Nt-1) + j] * conj(s[j])
     full = sp_signal.correlate(cir, np.conj(samples), mode="full", method="auto")
     # A pulse peaking at CIR index p maximises c at k = p + (Nt-1) - peak,
     # so shifting by (Nt-1) - peak re-anchors the axis onto CIR indices.
     start = len(samples) - 1 - peak_index
     return full[start : start + len(cir)]
-
-
-def filter_bank_outputs(
-    cir: np.ndarray,
-    templates,
-    use_fast: bool = True,
-) -> np.ndarray:
-    """Matched-filter the CIR against every template of a bank.
-
-    Returns an array of shape ``(len(bank), len(cir))`` — the ``y_i(t)``
-    curves of the paper's Fig. 6b.
-
-    With ``use_fast=True`` (default) and a bank of
-    :class:`~repro.signal.pulses.Pulse` templates, the whole bank is
-    evaluated through a spectrum-cached
-    :class:`~repro.core.plan.DetectorPlan`: one forward FFT of the CIR
-    times the cached 2-D conjugate-spectrum matrix and one batched
-    inverse FFT, instead of one ``scipy.signal.correlate`` per template.
-    Raw-array templates (or ``use_fast=False``) fall back to the
-    per-template loop.
-    """
-    templates = list(templates)
-    if (
-        use_fast
-        and templates
-        and all(isinstance(t, Pulse) for t in templates)
-    ):
-        # Deferred import: repro.core.plan imports the runtime cache,
-        # keeping this module import-light for array-only callers.
-        from repro.core.plan import detector_plan
-
-        cir = np.asarray(cir)
-        was_real = np.isrealobj(cir) and all(
-            np.isrealobj(t.samples) for t in templates
-        )
-        plan = detector_plan(
-            templates, len(cir), 1, templates[0].sampling_period_s
-        )
-        outputs = plan.filter_bank(cir.astype(complex))
-        # A real CIR against real templates has a real correlation; strip
-        # the roundoff-level imaginary part the complex FFT introduces so
-        # the batched path matches the naive loop's dtype.
-        return outputs.real if was_real else outputs
-    outputs = [matched_filter(cir, template) for template in templates]
-    return np.stack(outputs, axis=0)

@@ -1,8 +1,9 @@
-"""Spectrum-cached FFT detection plans (the fast matched-filter engine).
+"""Spectrum-cached FFT detection plans (the matched-filter engine's artifacts).
 
 The search-and-subtract detector (paper Sect. IV) is the hot path of
-every experiment in this repository.  The naive implementation pays, on
-*every* ``detect()`` call and *every* iteration of the subtract loop:
+every experiment in this repository.  The reference loop
+(:func:`repro.core.detection.detect_reference`) pays, on *every* call
+and *every* iteration of the subtract loop:
 
 * a full-length ``scipy.signal.correlate`` per template (each of which
   internally runs its own forward + inverse FFTs at its own padded
@@ -28,11 +29,16 @@ thousands of Monte-Carlo trials share one plan per process:
   same update (sub-sample peak refinement shifts the subtrahend by a
   fraction of a sample, which a static table cannot represent exactly).
 
+The plan itself is immutable and shared; the batched engine
+(:class:`repro.core.batch.BatchDetectorPlan`) wraps it with the
+per-pass scratch buffers.
+
 Numerical contract: the batched evaluation is the *same* linear
-correlation the naive path computes (zero-padded, never circular — the
-shared FFT length covers the full linear support), so fast and naive
-detections agree to floating-point roundoff.  ``tests/test_detection_fast.py``
-enforces this across bank sizes, CIR lengths, and SNRs.
+correlation the reference loop computes (zero-padded, never circular —
+the shared FFT length covers the full linear support), so engine and
+reference detections agree to floating-point roundoff.
+``tests/test_detection_fast.py`` enforces this across bank sizes, CIR
+lengths, and SNRs.
 """
 
 from __future__ import annotations
@@ -84,6 +90,12 @@ class DetectorPlan:
     ----------
     templates:
         The bank resampled to the fine (upsampled) rate, in bank order.
+    template_keys:
+        :func:`_template_key` of every template the plan was built
+        from (before resampling) — what an explicitly supplied plan is
+        checked against.
+    sampling_period_s:
+        Native CIR tap spacing the plan was built for.
     cir_length:
         Native CIR length ``N`` the plan was built for.
     upsample_factor:
@@ -112,6 +124,8 @@ class DetectorPlan:
     """
 
     templates: Tuple[Pulse, ...]
+    template_keys: Tuple[tuple, ...]
+    sampling_period_s: float
     cir_length: int
     upsample_factor: int
     n_fine: int
@@ -136,7 +150,7 @@ class DetectorPlan:
 
         ``sampling_period_s`` is the *native* CIR tap spacing; templates
         not already sampled at ``sampling_period_s / upsample_factor``
-        are resampled (exactly mirroring the naive detector path).
+        are resampled (exactly mirroring the reference detector).
         """
         if cir_length < 1:
             raise ValueError(f"cir_length must be >= 1, got {cir_length}")
@@ -175,6 +189,8 @@ class DetectorPlan:
 
         plan = cls(
             templates=tuple(fine),
+            template_keys=tuple(_template_key(t) for t in templates),
+            sampling_period_s=float(sampling_period_s),
             cir_length=int(cir_length),
             upsample_factor=int(upsample_factor),
             n_fine=n_fine,
@@ -193,30 +209,6 @@ class DetectorPlan:
         )
         object.__setattr__(plan, "cross_correlations", table)
         return plan
-
-    # -- batched filter bank -------------------------------------------------
-
-    def filter_bank(self, working: np.ndarray) -> np.ndarray:
-        """Matched-filter ``working`` against every template at once.
-
-        ``working`` is the (upsampled) signal of length :attr:`n_fine`.
-        Returns the ``(n_templates, n_fine)`` complex output matrix —
-        identical (to roundoff) to calling
-        :func:`repro.core.matched_filter.matched_filter` per template,
-        but with one forward FFT and one batched inverse FFT total.
-        """
-        working = np.asarray(working)
-        if working.ndim != 1:
-            raise ValueError(
-                f"expected a 1-D signal, got shape {working.shape}"
-            )
-        if len(working) != self.n_fine:
-            raise ValueError(
-                f"plan built for length {self.n_fine}, got {len(working)}"
-            )
-        forward = sp_fft.fft(working, self.fft_length)
-        outputs = sp_fft.ifft(forward[np.newaxis, :] * self.spectra, axis=1)
-        return np.ascontiguousarray(outputs[:, : self.n_fine])
 
     # -- incremental search-and-subtract updates -----------------------------
 
@@ -266,7 +258,7 @@ class DetectorPlan:
     ) -> Tuple[int, int]:
         """Apply step 5 of the paper's algorithm directly to ``outputs``.
 
-        The naive detector places ``-amplitude * template`` into the
+        The reference detector places ``-amplitude * template`` into the
         working signal (via :func:`repro.signal.sampling.place_pulse`)
         and re-filters everything.  Because filtering is linear, the
         filter outputs change only by the correlation of that placed
@@ -337,47 +329,28 @@ def plan_cache_key(
     upsample_factor: int,
     sampling_period_s: float,
     batch_size: int | None = None,
-    kind: str = "detector",
-    backend: str | None = None,
 ) -> tuple:
     """The ``detector_plans`` cache key for one detection shape.
 
     The key *must* include the batch shape: a cross-trial
     :class:`~repro.core.batch.BatchDetectorPlan` carries batch-sized
     scratch buffers (and is a different type altogether), so serving a
-    B=64 entry to the single-CIR path — or a single-CIR
-    :class:`DetectorPlan` to ``detect_batch`` — would crash at best and
-    silently corrupt outputs at worst.  ``batch_size=None`` denotes the
-    single-CIR plan; the batched engine passes its B.  Even ``B == 1``
-    must *not* collide with the single-CIR entry (the two are different
-    types — a collision is exactly the "B plan served to the single-CIR
-    path" bug, just in the other direction), hence the explicit
+    B=64 entry to a B=8 caller — or the shared :class:`DetectorPlan` to
+    ``detect_batch`` — would crash at best and silently corrupt outputs
+    at worst.  ``batch_size=None`` denotes the shared plan; the batched
+    engine passes its B.  Even ``B == 1`` must *not* collide with the
+    shared entry (the two are different types), hence the explicit
     ``"single"`` / ``("batch", B)`` discriminator rather than a bare
     integer.  ``tests/test_properties_detection.py::TestPlanCacheBatchKey``
     is the regression test that would have caught a key without this
     component.
-
-    ``kind`` separates plan *families* sharing the cache: the default
-    ``"detector"`` names the raw detection plans, while the batched
-    pulse-id classifier (:mod:`repro.core.batch_id`) keys its
-    :class:`~repro.core.batch_id.BatchClassifierPlan` wrappers under
-    ``"classifier"`` so they can never shadow — or be shadowed by — a
-    :class:`~repro.core.batch.BatchDetectorPlan` of the same shape.
-
-    ``backend`` names the array backend a batched plan's scratch
-    buffers live on (:mod:`repro.core.backend`); ``None`` normalises to
-    ``"numpy"`` (the host default, and the only thing single-CIR plans
-    ever run on), so a CuPy plan holding device arrays can never be
-    served to a NumPy caller or vice versa.
     """
     return (
-        str(kind),
         tuple(_template_key(t) for t in templates),
         int(cir_length),
         int(upsample_factor),
         float(sampling_period_s),
         "single" if batch_size is None else ("batch", int(batch_size)),
-        str(backend) if backend is not None else "numpy",
     )
 
 

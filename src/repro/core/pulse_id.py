@@ -6,27 +6,13 @@ for every detected response, picks the template with the largest
 amplitude estimate ``alpha_hat_{k,i}`` — that template's index *is* the
 responder's (partial) identity.
 
-The classifier reuses :class:`~repro.core.detection.SearchAndSubtract`
-with a multi-template bank: at each iteration the strongest peak across
-*all* filter outputs wins, its template is recorded, and the correct
-template is subtracted, so classification and detection reinforce each
-other exactly as in the paper.
-
-Two entry points share one decision core (:func:`classify_responses`):
-
-* :meth:`PulseShapeClassifier.classify` — one CIR through the serial
-  (spectrum-cached) detection engine;
-* :meth:`PulseShapeClassifier.classify_batch` — B stacked CIRs through
-  the cross-trial batched engine of :mod:`repro.core.batch_id` (one 2-D
-  forward FFT x multi-template spectrum matrix x batched inverse FFT),
-  identical per-trial results by construction.
-
-The classifier also conforms to the :class:`~repro.core.engine.Engine`
-protocol: ``detect``/``detect_batch`` expose the underlying joint
-detection without the shape decode, with the same uniform
-``(cirs, sampling_period_s, noise_std)`` signatures as
-:class:`~repro.core.detection.SearchAndSubtract` and
-:class:`~repro.core.threshold.ThresholdDetector`.
+The classifier runs the search-and-subtract engine with a
+multi-template bank: at each iteration the strongest peak across *all*
+filter outputs wins, its template is recorded, and the correct template
+is subtracted, so classification and detection reinforce each other
+exactly as in the paper.  :func:`classify_responses` is the decision
+core; :meth:`PulseShapeClassifier.classify` is a batch of one through
+:func:`repro.core.batch_id.classify_batch`.
 """
 
 from __future__ import annotations
@@ -36,11 +22,7 @@ from typing import Iterable, List
 
 import numpy as np
 
-from repro.core.detection import (
-    DetectedResponse,
-    SearchAndSubtract,
-    SearchAndSubtractConfig,
-)
+from repro.core.detection import DetectedResponse, SearchAndSubtractConfig
 from repro.signal.templates import TemplateBank
 
 __all__ = [
@@ -92,15 +74,12 @@ def classify_responses(
 ) -> List[ClassifiedResponse]:
     """Decode each detected response's pulse shape from its scores.
 
-    This is the maximum-amplitude decision of Sect. V, factored out so
-    the serial path (:meth:`PulseShapeClassifier.classify`) and the
-    cross-trial batched path (:func:`repro.core.batch_id.classify_batch`)
-    share the *same* winner-pick code — once their filter-bank outputs
-    agree, classification agrees by construction.
+    This is the maximum-amplitude decision of Sect. V, applied by
+    :func:`repro.core.batch_id.classify_batch` to every detected
+    response.
 
     Ties (equal winning and runner-up scores) yield ``confidence == 1.0``
-    and keep ``np.argsort``'s descending-order winner, identically in
-    every path.
+    and keep ``np.argsort``'s descending-order winner.
     """
     classified: List[ClassifiedResponse] = []
     for response in responses:
@@ -132,35 +111,8 @@ class PulseShapeClassifier:
         if len(bank) < 1:
             raise ValueError("classifier needs a non-empty template bank")
         self.bank = bank
-        self._detector = SearchAndSubtract(bank, config)
-
-    @property
-    def config(self) -> SearchAndSubtractConfig:
-        return self._detector.config
-
-    # -- Engine protocol: raw detection --------------------------------------
-
-    def detect(
-        self,
-        cir: np.ndarray,
-        sampling_period_s: float,
-        noise_std: float = 0.0,
-    ) -> List[DetectedResponse]:
-        """Joint multi-template detection without the shape decode."""
-        return self._detector.detect(cir, sampling_period_s, noise_std=noise_std)
-
-    def detect_batch(
-        self,
-        cirs,
-        sampling_period_s: float,
-        noise_std=0.0,
-    ) -> List[List[DetectedResponse]]:
-        """Batched joint detection (see :meth:`SearchAndSubtract.detect_batch`)."""
-        return self._detector.detect_batch(
-            cirs, sampling_period_s, noise_std=noise_std
-        )
-
-    # -- classification -------------------------------------------------------
+        self.config = config or SearchAndSubtractConfig()
+        self._templates = list(bank)
 
     def classify(
         self,
@@ -170,60 +122,28 @@ class PulseShapeClassifier:
     ) -> List[ClassifiedResponse]:
         """Detect responses and decode each one's pulse shape.
 
-        Returns classified responses sorted by delay ascending.
+        A batch of one through :func:`repro.core.batch_id.classify_batch`
+        on a private plan, so ``classify`` is safe to call from several
+        threads at once.  Returns classified responses sorted by delay
+        ascending.
         """
-        responses = self._detector.detect(
-            cir, sampling_period_s, noise_std=noise_std
+        from repro.core.batch import private_plan
+        from repro.core.batch_id import classify_batch
+
+        cir = np.asarray(cir, dtype=complex)
+        if cir.ndim != 1:
+            raise ValueError(f"expected a 1-D CIR, got shape {cir.shape}")
+        plan = private_plan(
+            self._templates,
+            len(cir),
+            self.config.upsample_factor,
+            sampling_period_s,
         )
-        return classify_responses(responses)
-
-    def classify_batch(
-        self,
-        cirs,
-        sampling_period_s: float,
-        noise_std=0.0,
-    ) -> List[List[ClassifiedResponse]]:
-        """Classify B stacked equal-length CIRs in one batched engine pass.
-
-        Delegates to :func:`repro.core.batch_id.classify_batch`: one 2-D
-        forward FFT x multi-template spectrum matrix x batched inverse
-        FFT for the whole batch, then the identical per-trial
-        search-and-subtract extraction and winner-pick loops.  Entry
-        ``b`` equals ``self.classify(cirs[b], sampling_period_s,
-        noise_std=noise_std[b])``.
-
-        ``noise_std`` may be a scalar (shared by all trials) or a
-        length-B sequence.  With ``config.use_fast=False`` the serial
-        naive engine runs per CIR instead — the escape hatch the batched
-        path is differential-tested against.
-        """
-        from repro.core.batch_id import classify_batch as _classify_batch
-
-        if not self.config.use_fast:
-            from repro.core.detection import _per_trial_noise
-
-            stds = _per_trial_noise(noise_std, len(cirs))
-            return [
-                self.classify(cir, sampling_period_s, noise_std=std)
-                for cir, std in zip(cirs, stds)
-            ]
-        return _classify_batch(
-            cirs,
+        return classify_batch(
+            cir[np.newaxis, :],
             self.bank,
             sampling_period_s,
             config=self.config,
             noise_std=noise_std,
-        )
-
-    def filter_bank_outputs(
-        self, cir: np.ndarray, sampling_period_s: float
-    ) -> np.ndarray:
-        """The per-template matched-filter curves of Fig. 6b, stacked as
-        an array of shape ``(len(bank), upsampled CIR length)``."""
-        return np.stack(
-            [
-                self._detector.matched_filter_output(cir, sampling_period_s, i)
-                for i in range(len(self.bank))
-            ],
-            axis=0,
-        )
+            plan=plan,
+        )[0]

@@ -9,30 +9,24 @@ Its weakness — and the reason the paper's search-and-subtract wins — is
 structural: two responses closer together than one pulse duration fall
 into a single window and are reported as one peak.
 
-Two numerically equivalent engines implement the scan, mirroring the
-fast/naive split of :mod:`repro.core.detection` so fast-vs-naive and
-search-vs-threshold comparisons stay apples-to-apples:
-
-* the **incremental path** (default) pre-extracts the threshold
-  crossings once and hops from trigger to trigger with O(log n) sorted
-  lookups — the per-iteration cost is one window ``argmax``, incremental
-  in the number of *peaks* rather than linear in the number of samples;
-* the **naive path** (``ThresholdConfig(use_fast=False)``) is the
-  literal sample-by-sample transcription above, kept as the reference
-  the fast scan is differential-tested against
-  (``tests/test_properties_detection.py``).
-
-Both engines share the upsampling and threshold computation, so their
-results are *identical* — not merely close.  The batched entry point
-:meth:`ThresholdDetector.detect_batch` additionally shares one 2-D
-upsampling FFT across B trials (see :mod:`repro.core.batch` for the
-same trick on the search-and-subtract side).
+The detector scans with an **incremental** engine: it pre-extracts the
+threshold crossings once and hops from trigger to trigger with
+O(log n) sorted lookups, so the per-iteration cost is one window
+``argmax``, incremental in the number of *peaks* rather than linear in
+the number of samples.  Mirroring :mod:`repro.core.detection`, the
+literal sample-by-sample transcription above is kept as the oracle,
+:func:`reference_scan` (run end to end by
+:func:`detect_threshold_reference`), which the engine is
+differential-tested against (``tests/test_properties_detection.py``).
+Both share the upsampling and threshold computation, so their results
+are *identical* — not merely close.  :meth:`ThresholdDetector.detect_batch`
+additionally shares one 2-D upsampling FFT across B trials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Callable, List
 
 import numpy as np
 
@@ -62,17 +56,12 @@ class ThresholdConfig:
     upsample_factor:
         FFT upsampling applied before scanning (for a fair comparison
         with the search-and-subtract detector).
-    use_fast:
-        Run the incremental trigger-hopping scan (default).  Set to
-        ``False`` for the sample-by-sample reference loop the fast scan
-        is differential-tested against.
     """
 
     max_responses: int = 1
     noise_multiplier: float = 6.0
     min_peak_fraction: float = 0.25
     upsample_factor: int = 8
-    use_fast: bool = True
 
     def __post_init__(self) -> None:
         if self.max_responses < 1:
@@ -81,6 +70,64 @@ class ThresholdConfig:
             raise ValueError(
                 f"upsample_factor must be >= 1, got {self.upsample_factor}"
             )
+
+
+def reference_scan(
+    magnitude: np.ndarray, threshold: float, window: int, max_responses: int
+) -> List[int]:
+    """The oracle: literal sample-by-sample scan; upsampled peak indices."""
+    global_metrics().counter("threshold.naive_scans").inc()
+    peaks: List[int] = []
+    position = 0
+    n = len(magnitude)
+    while position < n and len(peaks) < max_responses:
+        if magnitude[position] < threshold:
+            position += 1
+            continue
+        stop = min(position + window, n)
+        peaks.append(position + int(np.argmax(magnitude[position:stop])))
+        position = stop
+        # Hysteresis: re-arm only once the signal falls below the
+        # threshold, so a pulse's own decaying tail cannot trigger a
+        # phantom second detection.
+        while position < n and magnitude[position] >= threshold:
+            position += 1
+    return peaks
+
+
+def _incremental_scan(
+    magnitude: np.ndarray, threshold: float, window: int, max_responses: int
+) -> List[int]:
+    """Incremental trigger-hopping scan — same peaks, O(peaks log n).
+
+    The reference loop's only data dependencies are (i) the next sample
+    at-or-after the scan position that is *above* the threshold (the
+    trigger) and (ii) the next sample at-or-after the window end that
+    is *below* it (the hysteresis re-arm).  Pre-extracting the sorted
+    above/below index sets turns both into binary searches, so the
+    per-peak cost is one window ``argmax`` plus two ``searchsorted``
+    calls instead of a Python-level walk over every sample.
+    """
+    global_metrics().counter("threshold.fast_scans").inc()
+    n = len(magnitude)
+    above = magnitude >= threshold
+    above_idx = np.flatnonzero(above)
+    below_idx = np.flatnonzero(~above)
+    peaks: List[int] = []
+    position = 0
+    while position < n and len(peaks) < max_responses:
+        # (i) next trigger at-or-after the scan position.
+        j = int(np.searchsorted(above_idx, position))
+        if j >= len(above_idx):
+            break
+        trigger = int(above_idx[j])
+        stop = min(trigger + window, n)
+        peaks.append(trigger + int(np.argmax(magnitude[trigger:stop])))
+        # (ii) hysteresis: re-arm at the first below-threshold
+        # sample at-or-after the window end.
+        k = int(np.searchsorted(below_idx, stop))
+        position = int(below_idx[k]) if k < len(below_idx) else n
+    return peaks
 
 
 class ThresholdDetector:
@@ -108,74 +155,15 @@ class ThresholdDetector:
         period = sampling_period_s / self.config.upsample_factor
         return max(1, int(round(duration_s / period)))
 
-    # -- scan engines --------------------------------------------------------
-
-    def _scan_naive(
-        self, magnitude: np.ndarray, threshold: float, window: int
-    ) -> List[int]:
-        """Literal sample-by-sample scan; returns upsampled peak indices."""
-        global_metrics().counter("threshold.naive_scans").inc()
-        peaks: List[int] = []
-        position = 0
-        n = len(magnitude)
-        while position < n and len(peaks) < self.config.max_responses:
-            if magnitude[position] < threshold:
-                position += 1
-                continue
-            stop = min(position + window, n)
-            peaks.append(position + int(np.argmax(magnitude[position:stop])))
-            position = stop
-            # Hysteresis: re-arm only once the signal falls below the
-            # threshold, so a pulse's own decaying tail cannot trigger a
-            # phantom second detection.
-            while position < n and magnitude[position] >= threshold:
-                position += 1
-        return peaks
-
-    def _scan_fast(
-        self, magnitude: np.ndarray, threshold: float, window: int
-    ) -> List[int]:
-        """Incremental trigger-hopping scan — same peaks, O(peaks log n).
-
-        The naive loop's only data dependencies are (i) the next sample
-        at-or-after the scan position that is *above* the threshold (the
-        trigger) and (ii) the next sample at-or-after the window end
-        that is *below* it (the hysteresis re-arm).  Pre-extracting the
-        sorted above/below index sets turns both into binary searches,
-        so the per-peak cost is one window ``argmax`` plus two
-        ``searchsorted`` calls instead of a Python-level walk over every
-        sample — the threshold-path analogue of the search-and-subtract
-        engine's incremental step-5 update.
-        """
-        global_metrics().counter("threshold.fast_scans").inc()
-        n = len(magnitude)
-        above = magnitude >= threshold
-        above_idx = np.flatnonzero(above)
-        below_idx = np.flatnonzero(~above)
-        peaks: List[int] = []
-        position = 0
-        while position < n and len(peaks) < self.config.max_responses:
-            # (i) next trigger at-or-after the scan position.
-            j = int(np.searchsorted(above_idx, position))
-            if j >= len(above_idx):
-                break
-            trigger = int(above_idx[j])
-            stop = min(trigger + window, n)
-            peaks.append(trigger + int(np.argmax(magnitude[trigger:stop])))
-            # (ii) hysteresis: re-arm at the first below-threshold
-            # sample at-or-after the window end.
-            k = int(np.searchsorted(below_idx, stop))
-            position = int(below_idx[k]) if k < len(below_idx) else n
-        return peaks
-
     def _extract(
         self,
         magnitude: np.ndarray,
         sampling_period_s: float,
         noise_std: float,
+        scan: Callable[..., List[int]] = _incremental_scan,
     ) -> List[DetectedResponse]:
         """Threshold + scan + response packaging over one upsampled
-        magnitude signal (shared by the serial and batched paths)."""
+        magnitude signal (shared by every entry point)."""
         factor = self.config.upsample_factor
         period = sampling_period_s / factor
         peak = float(magnitude.max())
@@ -186,7 +174,7 @@ class ThresholdDetector:
             self.config.min_peak_fraction * peak,
         )
         window = self._window_samples(sampling_period_s)
-        scan = self._scan_fast if self.config.use_fast else self._scan_naive
+        peaks = scan(magnitude, threshold, window, self.config.max_responses)
         responses = [
             DetectedResponse(
                 index=local_max / factor,
@@ -195,7 +183,7 @@ class ThresholdDetector:
                 template_index=0,
                 scores=(float(magnitude[local_max] / np.sqrt(factor)),),
             )
-            for local_max in scan(magnitude, threshold, window)
+            for local_max in peaks
         ]
         responses.sort(key=lambda response: response.delay_s)
         return responses
@@ -214,11 +202,16 @@ class ThresholdDetector:
         search-and-subtract output format so the two detectors are
         drop-in comparable.
         """
+        return self._extract(
+            self._magnitude(cir), sampling_period_s, noise_std
+        )
+
+    def _magnitude(self, cir: np.ndarray) -> np.ndarray:
+        """Upsampled magnitude of one 1-D CIR."""
         cir = np.asarray(cir, dtype=complex)
         if cir.ndim != 1:
             raise ValueError(f"expected a 1-D CIR, got shape {cir.shape}")
-        magnitude = np.abs(fft_upsample(cir, self.config.upsample_factor))
-        return self._extract(magnitude, sampling_period_s, noise_std)
+        return np.abs(fft_upsample(cir, self.config.upsample_factor))
 
     def detect_batch(
         self,
@@ -256,14 +249,17 @@ class ThresholdDetector:
         ]
 
 
-def detect_threshold_batch(
-    cirs,
+def detect_threshold_reference(
+    cir: np.ndarray,
     pulse: Pulse,
     sampling_period_s: float,
     config: ThresholdConfig | None = None,
-    noise_std=0.0,
-) -> List[List[DetectedResponse]]:
-    """Functional alias mirroring :func:`repro.core.batch.detect_batch`."""
-    return ThresholdDetector(pulse, config).detect_batch(
-        cirs, sampling_period_s, noise_std=noise_std
+    noise_std: float = 0.0,
+) -> List[DetectedResponse]:
+    """``ThresholdDetector(pulse, config).detect(...)`` with the oracle's
+    :func:`reference_scan` in place of the incremental engine."""
+    detector = ThresholdDetector(pulse, config)
+    return detector._extract(
+        detector._magnitude(cir), sampling_period_s, noise_std,
+        scan=reference_scan,
     )

@@ -63,7 +63,7 @@ N_SLOTS = 16
 N_SHAPES = 96
 
 
-def swarm_config(count: int, *, serial_classifier: bool = False) -> SwarmConfig:
+def swarm_config(count: int) -> SwarmConfig:
     """The sweep's scenario configuration for one responder count.
 
     Everything except the population is pinned so the sweep varies one
@@ -74,7 +74,6 @@ def swarm_config(count: int, *, serial_classifier: bool = False) -> SwarmConfig:
         n_responders=count,
         n_slots=N_SLOTS,
         n_shapes=N_SHAPES,
-        serial_classifier=serial_classifier,
     )
 
 

@@ -135,10 +135,6 @@ class SwarmConfig:
     min_peak_snr: float = 5.0
     #: CIRs per :func:`classify_batch` call.
     batch_size: int = 8
-    #: Route classification through the serial classifier instead of
-    #: :func:`classify_batch` (differential-test switch; results are
-    #: byte-identical either way).
-    serial_classifier: bool = False
 
     def __post_init__(self) -> None:
         if self.n_responders < 1:
@@ -691,15 +687,6 @@ class SwarmScenario:
 
     def _classify(self, entries: List[_PendingEntry]) -> List[list]:
         """Classification for every pending round, in entry order."""
-        if self.config.serial_classifier:
-            return [
-                entry.session.classifier.classify(
-                    entry.pending.cir,
-                    entry.pending.sampling_period_s,
-                    noise_std=entry.pending.noise_std,
-                )
-                for entry in entries
-            ]
         rows: List[list] = []
         step = self.config.batch_size
         for start in range(0, len(entries), step):

@@ -342,7 +342,7 @@ class ConcurrentRangingSession:
         config = detector_config or SearchAndSubtractConfig()
         if config.max_responses < len(responders):
             # dataclasses.replace keeps every other knob (upsampling,
-            # gate, fast/naive engine) exactly as configured.
+            # gate, sub-sample refinement) exactly as configured.
             config = dataclasses.replace(
                 config, max_responses=len(responders)
             )

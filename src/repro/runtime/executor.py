@@ -102,10 +102,7 @@ class WorkloadShape:
 
 #: Scratch-memory ceiling for one batched engine pass (the
 #: ``(B, n_templates, fft_length)`` complex product buffer plus its
-#: inverse-transform output) used by :func:`choose_batch_size` when the
-#: selected array backend does not report its own budget.  Matches
-#: :data:`repro.core.backend.DEFAULT_HOST_MEMORY_BUDGET` (kept as a
-#: literal here to avoid a runtime -> core import at module load).
+#: inverse-transform output) used by :func:`choose_batch_size`.
 MAX_BATCH_SCRATCH_BYTES = 256 * 1024 * 1024
 
 #: Largest batch size :func:`choose_batch_size` will ever pick; beyond
@@ -121,7 +118,6 @@ def choose_batch_size(
     workers: int = 1,
     *,
     upsample_factor: int = 8,
-    memory_budget_bytes: int | None = None,
 ) -> int:
     """Pick a batch size from the workload shape (``batch_size="auto"``).
 
@@ -133,7 +129,7 @@ def choose_batch_size(
     * **Bounded scratch memory.**  One batched pass materialises two
       ``(B, bank_size, ~2 * cir_length * upsample_factor)`` complex
       tensors (spectrum product + inverse-transform output); B is capped
-      so they stay under ``memory_budget_bytes``.
+      so they stay under :data:`MAX_BATCH_SCRATCH_BYTES`.
     * **Diminishing returns.**  Past :data:`MAX_AUTO_BATCH` the
       forward/inverse transforms are already fully amortised
       (measured in ``BENCH_detector.json``), so larger batches only pay
@@ -141,31 +137,18 @@ def choose_batch_size(
 
     The result is rounded down to a power of two so chunks split into
     even groups, and is always >= 1.  Determinism note: the choice
-    depends only on the arguments and the configured array backend —
-    never on runtime load — so a run with ``batch_size="auto"`` is
-    exactly reproducible (and, by the :class:`BatchTrial` equivalence
-    contract, equals the ``batch_size=1`` run anyway).  With
-    ``memory_budget_bytes=None`` the budget comes from the selected
-    backend (:meth:`repro.core.backend.ArrayBackend.memory_budget_bytes`
-    — a fixed host constant for NumPy, free device memory for GPU
-    backends); note a GPU budget *is* load-dependent, so pass an
-    explicit budget when byte-stable auto sizing matters there.
+    depends only on the arguments — never on runtime load — so a run
+    with ``batch_size="auto"`` is exactly reproducible (and, by the
+    :class:`BatchTrial` equivalence contract, equals the
+    ``batch_size=1`` run anyway).
     """
     if n_trials <= 1 or cir_length < 1 or bank_size < 1:
         return 1
-    if memory_budget_bytes is None:
-        # Imported lazily: repro.core modules import this one at load.
-        from repro.core.backend import get_backend
-
-        try:
-            memory_budget_bytes = get_backend().memory_budget_bytes()
-        except Exception:
-            memory_budget_bytes = MAX_BATCH_SCRATCH_BYTES
     # Two complex (B, bank, padded-length) tensors; the padded FFT
     # length is ~2x the upsampled CIR length (next_fast_len of the full
     # linear-correlation support).
     bytes_per_trial = 2 * 16 * bank_size * 2 * cir_length * upsample_factor
-    memory_cap = max(1, int(memory_budget_bytes // max(1, bytes_per_trial)))
+    memory_cap = max(1, int(MAX_BATCH_SCRATCH_BYTES // max(1, bytes_per_trial)))
     per_worker = max(1, n_trials // max(1, workers))
     batch = min(MAX_AUTO_BATCH, memory_cap, per_worker)
     # Round down to a power of two for even group splits.

@@ -14,10 +14,11 @@ correlation tables) still come from the process-wide cache, which is
 lock-protected and immutable once built.
 
 Degradation mirrors :mod:`repro.runtime`'s :class:`BatchTrial`
-contract: if a batched pass raises, the group degrades to the serial
-per-item engine (counted as a fallback), and an item that fails even
-serially becomes a per-item error instead of poisoning its batch —
-degraded throughput, never a lost request.
+contract: if a batched pass raises, the group degrades to per-item
+``detect()``/``classify()`` calls (batches of one on private plans;
+counted as a fallback), and an item that fails even alone becomes a
+per-item error instead of poisoning its batch — degraded throughput,
+never a lost request.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backend import resolve_backend
-from repro.core.batch import BatchDetectorPlan, detect_batch
-from repro.core.batch_id import BatchClassifierPlan, classify_batch
+from repro.core.batch import BatchDetectorPlan, detect_batch, private_plan
+from repro.core.batch_id import classify_batch
 from repro.core.detection import SearchAndSubtract, SearchAndSubtractConfig
-from repro.core.plan import detector_plan
 from repro.core.pulse_id import PulseShapeClassifier
 from repro.signal.templates import TemplateBank
 
@@ -62,13 +61,6 @@ class EngineConfig:
         Expected CIR length, used only to auto-size micro-batches
         (``batch_size="auto"``); requests of other lengths still serve
         (they form their own sub-batches).
-    backend:
-        Array-backend name for the shard plans' batched transforms
-        (``"numpy"``/``"cupy"``/``"torch"``, see
-        :mod:`repro.core.backend`); ``None`` follows the process
-        default (``set_backend`` / ``REPRO_BACKEND`` / numpy).
-        Validated eagerly so a service never boots on a backend it
-        cannot run.
     """
 
     def __init__(
@@ -78,7 +70,6 @@ class EngineConfig:
         mode: str = "detect",
         config: Optional[SearchAndSubtractConfig] = None,
         cir_length: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> None:
         if mode not in ("detect", "classify"):
             raise ValueError(
@@ -91,7 +82,6 @@ class EngineConfig:
         self.mode = mode
         self.config = config or SearchAndSubtractConfig()
         self.cir_length = None if cir_length is None else int(cir_length)
-        self.backend = resolve_backend(backend).name
 
 
 class ShardEngine:
@@ -106,35 +96,31 @@ class ShardEngine:
     def __init__(self, engine: EngineConfig) -> None:
         self._engine = engine
         self._templates = list(engine.bank)
-        self._plans: Dict[Tuple[int, int], object] = {}
+        self._plans: Dict[Tuple[int, int], BatchDetectorPlan] = {}
         self._serial = None  # built lazily, only on fallback
 
     # -- private plans -------------------------------------------------------
 
-    def _plan(self, cir_length: int, batch_size: int):
+    def _plan(self, cir_length: int, batch_size: int) -> BatchDetectorPlan:
         """A private (uncached, shard-local) plan for one batch shape."""
         key = (cir_length, batch_size)
         plan = self._plans.get(key)
         if plan is None:
             engine = self._engine
-            base = detector_plan(
+            plan = private_plan(
                 self._templates,
                 cir_length,
                 engine.config.upsample_factor,
                 engine.sampling_period_s,
+                batch_size,
             )
-            detector = BatchDetectorPlan(base, batch_size, backend=engine.backend)
-            if engine.mode == "classify":
-                plan = BatchClassifierPlan(detector, engine.bank)
-            else:
-                plan = detector
             if len(self._plans) >= MAX_PRIVATE_PLANS:
                 self._plans.pop(next(iter(self._plans)))
             self._plans[key] = plan
         return plan
 
     def _serial_engine(self):
-        """The per-item reference engine for the fallback path."""
+        """The per-item engine (batches of one) for the fallback path."""
         if self._serial is None:
             engine = self._engine
             if engine.mode == "classify":

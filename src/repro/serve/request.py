@@ -53,7 +53,6 @@ import numpy as np
 __all__ = [
     "RangingRequest",
     "RangingOutcome",
-    "RangingResult",
     "ServiceRejectedError",
     "ServiceOverloadedError",
     "RateLimitedError",
@@ -135,11 +134,6 @@ class RangingOutcome:
     @property
     def ok(self) -> bool:
         return self.status == "ok"
-
-
-#: Deprecated alias — the service's answer used to be named
-#: ``RangingResult``; the unified type is :class:`RangingOutcome`.
-RangingResult = RangingOutcome
 
 
 class ServiceRejectedError(RuntimeError):

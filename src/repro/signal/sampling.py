@@ -130,8 +130,8 @@ def placed_segment(
     """The integer start index and (fractionally shifted) samples that
     :func:`place_pulse` would add into a buffer.
 
-    Factoring the shift out of :func:`place_pulse` lets the fast
-    detection path compute *exactly* the subtrahend the naive path would
+    Factoring the shift out of :func:`place_pulse` lets the detection
+    engine compute *exactly* the subtrahend the reference loop would
     place — same ``fractional_delay`` call on the same padded template —
     and correlate it against the template bank in a short window instead
     of re-filtering the whole signal.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.constants import CIR_SAMPLING_PERIOD_S as TS
+from repro.core.batch import private_plan
 from repro.core.detection import SearchAndSubtract, SearchAndSubtractConfig
 from repro.signal.sampling import place_pulse
 
@@ -203,6 +204,9 @@ class TestInputValidation:
     def test_matched_filter_output_accessor(self, default_pulse):
         cir = make_cir([(100.0, 1.0, default_pulse)])
         detector = SearchAndSubtract(default_pulse)
-        y = detector.matched_filter_output(cir, TS)
-        assert len(y) == len(cir) * detector.config.upsample_factor
+        factor = detector.config.upsample_factor
+        # The upsampled matched-filter curve of Fig. 4b.
+        plan = private_plan(detector.templates, len(cir), factor, TS)
+        y = plan.filter_pass(cir[np.newaxis, :])[0, 0]
+        assert len(y) == len(cir) * factor
         assert np.argmax(np.abs(y)) == pytest.approx(800, abs=4)

@@ -1,19 +1,26 @@
-"""Regression tests: the spectrum-cached FFT engine vs the naive loop.
+"""Regression tests: the spectrum-cached FFT engine vs the oracle.
 
-The contract of :mod:`repro.core.plan`: the fast path (batched filter
-bank + incremental subtraction) is *numerically equivalent* to the naive
-per-template re-filtering transcription of the paper's algorithm.  These
-tests enforce agreement to ``rtol=1e-9`` (observed agreement is at
-roundoff, ~1e-14) across bank sizes, CIR lengths (even and odd),
-noise levels, fractional positions, and edge-clipped peaks.
+The contract of :mod:`repro.core.plan` and :mod:`repro.core.batch`: the
+engine (batched filter bank + incremental subtraction), run by
+``detect()`` as a batch of one, is *numerically equivalent* to the
+per-template re-filtering transcription of the paper's algorithm,
+:func:`repro.core.detection.detect_reference`.  These tests enforce
+agreement to ``rtol=1e-9`` (observed agreement is at roundoff, ~1e-14)
+across bank sizes, CIR lengths (even and odd), noise levels, fractional
+positions, and edge-clipped peaks.
 """
 
 import numpy as np
 import pytest
 
 from repro.constants import CIR_SAMPLING_PERIOD_S as TS
-from repro.core.detection import SearchAndSubtract, SearchAndSubtractConfig
-from repro.core.matched_filter import filter_bank_outputs, matched_filter
+from repro.core.batch import private_plan
+from repro.core.detection import (
+    SearchAndSubtract,
+    SearchAndSubtractConfig,
+    detect_reference,
+)
+from repro.core.matched_filter import matched_filter
 from repro.core.plan import DetectorPlan, detector_plan
 from repro.runtime.cache import clear_all_caches, get_cache
 from repro.signal.sampling import fft_upsample, place_pulse
@@ -47,14 +54,13 @@ def synth_cir(rng, n, bank, noise_std, positions_amplitudes):
 
 
 def detect_both(bank, cir, noise_std=0.0, **config_kwargs):
-    """Run fast and naive engines on the same CIR."""
+    """Run the engine (a batch of one) and the oracle on the same CIR."""
     config_kwargs.setdefault("max_responses", 3)
-    fast = SearchAndSubtract(
-        bank, SearchAndSubtractConfig(use_fast=True, **config_kwargs)
-    ).detect(cir, TS, noise_std=noise_std)
-    naive = SearchAndSubtract(
-        bank, SearchAndSubtractConfig(use_fast=False, **config_kwargs)
-    ).detect(cir, TS, noise_std=noise_std)
+    config = SearchAndSubtractConfig(**config_kwargs)
+    fast = SearchAndSubtract(bank, config).detect(
+        cir, TS, noise_std=noise_std
+    )
+    naive = detect_reference(cir, bank, TS, config, noise_std=noise_std)
     return fast, naive
 
 
@@ -167,9 +173,7 @@ class TestEarlyStopGate:
         bank = TemplateBank.paper_bank(2)
         noise_std = 1e-2
         cir = synth_cir(rng, 512, bank, noise_std, [(0, 200.3, 1.0)])
-        config = SearchAndSubtractConfig(
-            max_responses=4, min_peak_snr=8.0, use_fast=True
-        )
+        config = SearchAndSubtractConfig(max_responses=4, min_peak_snr=8.0)
         responses = SearchAndSubtract(bank, config).detect(
             cir, TS, noise_std=noise_std
         )
@@ -190,57 +194,6 @@ class TestEarlyStopGate:
             max_responses=4, min_peak_snr=min_peak_snr,
         )
         assert_equivalent(fast, naive)
-
-
-class TestEscapeHatch:
-    def test_use_fast_false_runs_naive_engine(self):
-        from repro.runtime.metrics import global_metrics
-
-        metrics = global_metrics()
-        naive_before = metrics.counter("detector.naive_detects").value
-        fast_before = metrics.counter("detector.fast_detects").value
-        bank = TemplateBank.paper_bank(1)
-        cir = np.zeros(128, dtype=complex)
-        SearchAndSubtract(
-            bank, SearchAndSubtractConfig(use_fast=False)
-        ).detect(cir, TS)
-        assert metrics.counter("detector.naive_detects").value == naive_before + 1
-        assert metrics.counter("detector.fast_detects").value == fast_before
-
-    def test_fast_is_default(self):
-        assert SearchAndSubtractConfig().use_fast is True
-
-
-class TestBatchedFilterBank:
-    def test_filter_bank_outputs_matches_loop(self, paper_bank, clean_cir):
-        batched = filter_bank_outputs(clean_cir, paper_bank, use_fast=True)
-        looped = filter_bank_outputs(clean_cir, paper_bank, use_fast=False)
-        assert batched.shape == looped.shape
-        assert np.allclose(batched, looped, rtol=RTOL, atol=1e-12)
-
-    def test_real_cir_keeps_real_dtype(self, paper_bank):
-        rng = np.random.default_rng(8)
-        cir = rng.standard_normal(256)
-        batched = filter_bank_outputs(cir, paper_bank, use_fast=True)
-        looped = filter_bank_outputs(cir, paper_bank, use_fast=False)
-        assert np.isrealobj(batched) == np.isrealobj(looped)
-        assert np.allclose(batched, looped, rtol=RTOL, atol=1e-12)
-
-    def test_raw_array_templates_fall_back(self, default_pulse):
-        rng = np.random.default_rng(8)
-        cir = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-        raw = [default_pulse.samples]
-        out = filter_bank_outputs(cir, raw, use_fast=True)
-        assert np.allclose(out[0], matched_filter(cir, raw[0]), rtol=RTOL)
-
-    def test_matched_filter_output_equivalence(self, paper_bank, clean_cir):
-        fast = SearchAndSubtract(
-            paper_bank, SearchAndSubtractConfig(use_fast=True)
-        ).matched_filter_output(clean_cir, TS, template_index=1)
-        naive = SearchAndSubtract(
-            paper_bank, SearchAndSubtractConfig(use_fast=False)
-        ).matched_filter_output(clean_cir, TS, template_index=1)
-        assert np.allclose(fast, naive, rtol=RTOL, atol=1e-12)
 
 
 class TestPlanCache:
@@ -278,15 +231,25 @@ class TestPlanCache:
         assert hits / (hits + misses) > 0.9
 
 
+def filter_bank(plan, working):
+    """The reference filter bank: one ``matched_filter`` per template."""
+    return np.stack(
+        [matched_filter(working, template) for template in plan.templates]
+    )
+
+
 class TestPlanInternals:
     def test_filter_bank_matches_matched_filter(self, paper_bank):
+        """The engine's filter pass on a batch of one equals
+        per-template ``matched_filter`` on the upsampled CIR."""
         rng = np.random.default_rng(2)
         factor = 4
         cir = rng.standard_normal(200) + 1j * rng.standard_normal(200)
         working = fft_upsample(cir, factor)
-        plan = DetectorPlan.build(list(paper_bank), 200, factor, TS)
-        outputs = plan.filter_bank(working)
-        for row, template in zip(outputs, plan.templates):
+        plan = private_plan(list(paper_bank), 200, factor, TS)
+        outputs = plan.filter_pass(cir[np.newaxis, :])[0]
+        assert outputs.shape == (len(paper_bank), 200 * factor)
+        for row, template in zip(outputs, plan.base.templates):
             assert np.allclose(
                 row, matched_filter(working, template), rtol=RTOL, atol=1e-12
             )
@@ -299,7 +262,7 @@ class TestPlanInternals:
         working = fft_upsample(cir, factor)
         plan = DetectorPlan.build(list(paper_bank), 128, factor, TS)
         for position, amplitude in ((50.0, 1.2), (81.37, 0.5 - 0.2j)):
-            outputs = plan.filter_bank(working)
+            outputs = filter_bank(plan, working)
             template = plan.templates[1]
             place_pulse(
                 working,
@@ -308,7 +271,7 @@ class TestPlanInternals:
                 amplitude=-amplitude,
                 peak_index=template.peak_index,
             )
-            expected = plan.filter_bank(working)
+            expected = filter_bank(plan, working)
             a, b = plan.subtract_response(outputs, 1, position, amplitude)
             assert a < b
             assert np.allclose(outputs, expected, rtol=RTOL, atol=1e-12)
@@ -330,11 +293,13 @@ class TestPlanInternals:
             DetectorPlan.build(list(paper_bank), 64, 0, TS)
 
     def test_filter_bank_validates_length(self, paper_bank):
-        plan = DetectorPlan.build(list(paper_bank), 64, 2, TS)
+        plan = private_plan(list(paper_bank), 64, 2, TS)
         with pytest.raises(ValueError):
-            plan.filter_bank(np.zeros(64, dtype=complex))  # needs 128
+            plan.filter_pass(np.zeros((1, 32), dtype=complex))  # needs 64
         with pytest.raises(ValueError):
-            plan.filter_bank(np.zeros((2, 128), dtype=complex))
+            plan.filter_pass(np.zeros((2, 64), dtype=complex))  # needs B=1
+        with pytest.raises(ValueError):
+            plan.filter_pass(np.zeros(64, dtype=complex))
 
     def test_window_correlations_rejects_long_segments(self, paper_bank):
         plan = DetectorPlan.build(list(paper_bank), 64, 1, TS)

@@ -1,23 +1,26 @@
-"""The shared engine API: structural conformance + uniform behaviour.
+"""The engine API: uniform behaviour across detectors and the classifier.
 
-Every CIR-consuming engine must satisfy :class:`repro.core.Engine`
-(``detect``/``detect_batch``); classifiers additionally satisfy
-:class:`repro.core.ClassifierEngine` (``classify``/``classify_batch``).
+Every CIR-consuming engine has a single-CIR entry point and a batched
+one — ``SearchAndSubtract.detect`` / :func:`repro.core.batch.detect_batch`,
+``ThresholdDetector.detect`` / ``ThresholdDetector.detect_batch``, and
+``PulseShapeClassifier.classify`` / :func:`repro.core.batch_id.classify_batch`.
 These tests pin the contract the rest of the codebase (experiments,
-trial runtime, benchmarks) relies on: runtime-checkable protocol
-membership, uniform ``(cirs, sampling_period_s, noise_std)`` signatures,
-``B == 0 -> []``, delay-ascending ordering, and the batch entry points
-being exported from ``repro.core``.
+trial runtime, benchmarks) relies on: uniform single-CIR signatures,
+``B == 0 -> []``, batch row ``b`` equal to the single-CIR call on CIR
+``b``, delay-ascending ordering, and the batch entry points being
+exported from ``repro.core``.
 """
 
 import inspect
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from repro import core
 from repro.constants import CIR_SAMPLING_PERIOD_S as TS
-from repro.core import ClassifierEngine, Engine
+from repro.core.batch import detect_batch
+from repro.core.batch_id import classify_batch
 from repro.core.detection import SearchAndSubtract, SearchAndSubtractConfig
 from repro.core.pulse_id import PulseShapeClassifier
 from repro.core.threshold import ThresholdConfig, ThresholdDetector
@@ -27,14 +30,39 @@ from repro.signal.templates import TemplateBank
 
 _PULSE = dw1000_pulse()
 _BANK = TemplateBank.paper_bank(2)
+_CONFIG = SearchAndSubtractConfig(max_responses=2)
+
+
+#: One engine's single-CIR and batched entry points, side by side.
+_Entry = namedtuple("_Entry", "name single batch")
 
 
 def _engines():
+    detector = SearchAndSubtract(_BANK, _CONFIG)
+    threshold = ThresholdDetector(_PULSE, ThresholdConfig(max_responses=2))
+    classifier = PulseShapeClassifier(_BANK, _CONFIG)
     return [
-        SearchAndSubtract(_BANK, SearchAndSubtractConfig(max_responses=2)),
-        ThresholdDetector(_PULSE, ThresholdConfig(max_responses=2)),
-        PulseShapeClassifier(_BANK, SearchAndSubtractConfig(max_responses=2)),
+        _Entry(
+            "SearchAndSubtract",
+            detector.detect,
+            lambda cirs, period, noise_std=0.0: detect_batch(
+                cirs, _BANK, period, _CONFIG, noise_std=noise_std
+            ),
+        ),
+        _Entry("ThresholdDetector", threshold.detect, threshold.detect_batch),
+        _Entry(
+            "PulseShapeClassifier",
+            classifier.classify,
+            lambda cirs, period, noise_std=0.0: classify_batch(
+                cirs, _BANK, period, _CONFIG, noise_std=noise_std
+            ),
+        ),
     ]
+
+
+def _response(item):
+    """The detected response behind a detection or classification."""
+    return getattr(item, "response", item)
 
 
 def _two_pulse_cir(rng, length=509):
@@ -53,57 +81,32 @@ def _two_pulse_cir(rng, length=509):
 
 
 class TestProtocolConformance:
-    @pytest.mark.parametrize("engine", _engines(), ids=lambda e: type(e).__name__)
-    def test_every_engine_is_an_engine(self, engine):
-        assert isinstance(engine, Engine)
-
-    def test_classifier_is_a_classifier_engine(self):
-        classifier = PulseShapeClassifier(_BANK)
-        assert isinstance(classifier, ClassifierEngine)
-        assert isinstance(classifier, Engine)  # refinement, not a fork
-
-    @pytest.mark.parametrize(
-        "engine",
-        [
-            SearchAndSubtract(_PULSE),
-            ThresholdDetector(_PULSE),
-        ],
-        ids=lambda e: type(e).__name__,
-    )
-    def test_pure_detectors_are_not_classifier_engines(self, engine):
-        assert not isinstance(engine, ClassifierEngine)
-
-    def test_non_engine_rejected(self):
-        assert not isinstance(object(), Engine)
-
-    @pytest.mark.parametrize("engine", _engines(), ids=lambda e: type(e).__name__)
+    @pytest.mark.parametrize("engine", _engines(), ids=lambda e: e.name)
     def test_uniform_signatures(self, engine):
-        """Beyond method presence: the parameter *names* line up, so
-        keyword call sites can swap engines freely."""
-        for method_name in ("detect", "detect_batch"):
-            parameters = list(
-                inspect.signature(getattr(engine, method_name)).parameters
-            )
-            assert parameters[0] in ("cir", "cirs")
-            assert parameters[1] == "sampling_period_s"
-            assert "noise_std" in parameters
+        """The single-CIR parameter *names* line up, so keyword call
+        sites can swap engines freely."""
+        parameters = list(inspect.signature(engine.single).parameters)
+        assert parameters[:2] == ["cir", "sampling_period_s"]
+        assert "noise_std" in parameters
 
 
 class TestUniformBehaviour:
-    @pytest.mark.parametrize("engine", _engines(), ids=lambda e: type(e).__name__)
+    @pytest.mark.parametrize("engine", _engines(), ids=lambda e: e.name)
     def test_empty_batch_returns_empty(self, engine):
-        assert engine.detect_batch(np.zeros((0, 256)), TS) == []
+        assert engine.batch(np.zeros((0, 256)), TS) == []
 
-    @pytest.mark.parametrize("engine", _engines(), ids=lambda e: type(e).__name__)
+    @pytest.mark.parametrize("engine", _engines(), ids=lambda e: e.name)
     def test_batch_entries_match_serial(self, engine):
         rng = np.random.default_rng(5)
         cirs = np.stack([_two_pulse_cir(rng) for _ in range(3)])
         serial = [
-            engine.detect(cirs[b], TS, noise_std=0.01) for b in range(3)
+            engine.single(cirs[b], TS, noise_std=0.01) for b in range(3)
         ]
-        batched = engine.detect_batch(cirs, TS, noise_std=0.01)
+        batched = engine.batch(cirs, TS, noise_std=0.01)
         assert len(batched) == 3
         for got, want in zip(batched, serial):
+            got = [_response(item) for item in got]
+            want = [_response(item) for item in want]
             assert [r.template_index for r in got] == [
                 r.template_index for r in want
             ]
@@ -111,24 +114,22 @@ class TestUniformBehaviour:
                 [r.index for r in want], rel=1e-9
             )
 
-    @pytest.mark.parametrize("engine", _engines(), ids=lambda e: type(e).__name__)
+    @pytest.mark.parametrize("engine", _engines(), ids=lambda e: e.name)
     def test_responses_sorted_by_delay(self, engine):
         rng = np.random.default_rng(9)
-        responses = engine.detect(_two_pulse_cir(rng), TS, noise_std=0.01)
+        responses = engine.single(_two_pulse_cir(rng), TS, noise_std=0.01)
         delays = [r.delay_s for r in responses]
         assert delays == sorted(delays)
         assert len(responses) == 2
 
     def test_classifier_batch_matches_serial_classify(self):
-        classifier = PulseShapeClassifier(
-            _BANK, SearchAndSubtractConfig(max_responses=2)
-        )
+        classifier = PulseShapeClassifier(_BANK, _CONFIG)
         rng = np.random.default_rng(17)
         cirs = np.stack([_two_pulse_cir(rng) for _ in range(2)])
         serial = [
             classifier.classify(cirs[b], TS, noise_std=0.01) for b in range(2)
         ]
-        batched = classifier.classify_batch(cirs, TS, noise_std=0.01)
+        batched = classify_batch(cirs, _BANK, TS, _CONFIG, noise_std=0.01)
         for got, want in zip(batched, serial):
             assert [c.shape_index for c in got] == [
                 c.shape_index for c in want
@@ -139,20 +140,17 @@ class TestUniformBehaviour:
 
 
 class TestCoreExports:
-    """The batch entry points and protocols ship from ``repro.core``."""
+    """The batch entry points and the oracle ship from ``repro.core``."""
 
     @pytest.mark.parametrize(
         "name",
         [
-            "Engine",
-            "ClassifierEngine",
-            "BatchClassifierPlan",
             "ClassifyBatchTrial",
-            "batch_classifier_plan",
             "classify_batch",
             "classify_responses",
             "detect_batch",
-            "detect_threshold_batch",
+            "detect_reference",
+            "detect_threshold_reference",
         ],
     )
     def test_exported(self, name):

@@ -94,21 +94,26 @@ class TestLsRefinement:
         assert abs(by_delay[1].amplitude) == pytest.approx(0.8, abs=0.1)
 
     def test_refinement_engine_independent(self, detector):
-        """LS refinement on top of the fast engine equals refinement on
-        top of the naive engine."""
+        """LS refinement on top of the engine equals refinement on top
+        of the re-filtering oracle."""
         from repro.core.detection import (
-            SearchAndSubtract,
             SearchAndSubtractConfig,
+            detect_reference,
+            refine_amplitudes_least_squares,
         )
         from repro.signal.pulses import dw1000_pulse
 
         cir = overlapping_cir(1.7, amp2=0.7j)
         fast = detector.detect_with_ls_refinement(cir, TS)
-        naive_detector = SearchAndSubtract(
-            dw1000_pulse(),
-            SearchAndSubtractConfig(max_responses=2, use_fast=False),
+        templates = [dw1000_pulse()]
+        naive = refine_amplitudes_least_squares(
+            cir,
+            detect_reference(
+                cir, templates, TS, SearchAndSubtractConfig(max_responses=2)
+            ),
+            templates,
+            TS,
         )
-        naive = naive_detector.detect_with_ls_refinement(cir, TS)
         assert len(fast) == len(naive)
         for a, b in zip(fast, naive):
             assert np.isclose(a.index, b.index, rtol=1e-9, atol=1e-9)

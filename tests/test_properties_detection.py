@@ -1,43 +1,52 @@
-"""Differential property tests: every detection engine path agrees.
+"""Differential property tests: the engine agrees with its oracle.
 
-The detector ships with deliberately redundant implementations —
+Each detector ships as one engine plus one oracle —
 
-* search-and-subtract: the **naive** per-template re-filtering loop
-  (``use_fast=False``), the **fast** spectrum-cached serial engine, and
-  the **batched** cross-trial engine (:func:`repro.core.batch.detect_batch`);
-* threshold baseline: the **naive** sample-by-sample scan
-  (``use_fast=False``), the **fast** trigger-hopping scan, and the
-  batched-upsampling :meth:`~repro.core.threshold.ThresholdDetector.detect_batch`.
+* search-and-subtract: the batched engine
+  (:func:`repro.core.batch.detect_batch`, which ``detect()`` runs as a
+  batch of one) against the per-template re-filtering loop
+  :func:`~repro.core.detection.detect_reference`;
+* threshold baseline: the trigger-hopping scan (and the
+  batched-upsampling :meth:`~repro.core.threshold.ThresholdDetector.detect_batch`)
+  against the sample-by-sample
+  :func:`~repro.core.threshold.detect_threshold_reference`.
 
-The redundancy only buys confidence if the paths are continuously
-proven equivalent, so this module hammers randomly generated CIRs —
-odd and even lengths, fractional and edge-clipped pulse placements,
-single- and multi-template banks — through every path and requires the
-*same decisions* (response count, template choice) with numerics
-matching at ``rtol <= 1e-9`` (in practice byte-identical on pocketfft
-builds, but the tolerance keeps the suite platform-safe).
+This module hammers randomly generated CIRs — odd and even lengths,
+fractional and edge-clipped pulse placements, single- and
+multi-template banks — through every path and requires the *same
+decisions* (response count, template choice) with numerics matching at
+``rtol <= 1e-9`` (in practice byte-identical on pocketfft builds, but
+the tolerance keeps the suite platform-safe).
 
 ``TestPlanCacheBatchKey`` pins the cache-key regression: a batch-shaped
 plan (which carries mutable ``(B, n_templates, fft_length)`` scratch)
-must never be served where the single-CIR :class:`DetectorPlan` is
+must never be served where the shared :class:`DetectorPlan` is
 expected — not even at B=1.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.constants import CIR_SAMPLING_PERIOD_S
-from repro.core.backend import (
-    BackendUnavailable,
-    available_backends,
-    get_backend,
-    set_backend,
-)
 from repro.core.batch import BatchDetectorPlan, batch_detector_plan, detect_batch
-from repro.core.detection import SearchAndSubtract, SearchAndSubtractConfig
+from repro.core.batch_id import classify_batch
+from repro.core.detection import (
+    SearchAndSubtract,
+    SearchAndSubtractConfig,
+    detect_reference,
+)
 from repro.core.plan import DetectorPlan, detector_plan, plan_cache_key
-from repro.core.threshold import ThresholdConfig, ThresholdDetector
+from repro.core.pulse_id import PulseShapeClassifier
+from repro.core.threshold import (
+    ThresholdConfig,
+    ThresholdDetector,
+    detect_threshold_reference,
+)
+from repro.runtime.metrics import global_metrics
 from repro.signal.pulses import dw1000_pulse
 from repro.signal.sampling import place_pulse
 from repro.signal.templates import TemplateBank
@@ -113,13 +122,9 @@ class TestSearchEnginesAgree:
     def test_fast_matches_naive(self, seed, length, n_pulses, clipped):
         rng = np.random.default_rng(seed)
         cir = _random_cir(rng, length, n_pulses, clipped=clipped)
-        fast = SearchAndSubtract(
-            _BANK, SearchAndSubtractConfig(max_responses=n_pulses)
-        ).detect(cir, TS, noise_std=0.01)
-        naive = SearchAndSubtract(
-            _BANK,
-            SearchAndSubtractConfig(max_responses=n_pulses, use_fast=False),
-        ).detect(cir, TS, noise_std=0.01)
+        config = SearchAndSubtractConfig(max_responses=n_pulses)
+        fast = SearchAndSubtract(_BANK, config).detect(cir, TS, noise_std=0.01)
+        naive = detect_reference(cir, _BANK, TS, config, noise_std=0.01)
         _assert_responses_close(fast, naive)
 
     @settings(max_examples=25, deadline=None)
@@ -242,77 +247,6 @@ class TestRaggedEarlyStop:
         ) == []
 
 
-class TestBackendSelection:
-    """The array-backend seam: selection precedence, validation, cache
-    keying, and the invariant that forcing the default backend changes
-    nothing about the results."""
-
-    @pytest.fixture(autouse=True)
-    def _clean_selection(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        set_backend(None)
-        yield
-        set_backend(None)
-
-    def test_default_is_numpy(self):
-        assert get_backend().name == "numpy"
-
-    def test_env_round_trip(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert get_backend().name == "numpy"
-        monkeypatch.delenv("REPRO_BACKEND")
-        assert get_backend().name == "numpy"
-
-    def test_env_unknown_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "cuda9000")
-        with pytest.raises(ValueError, match="cuda9000"):
-            get_backend()
-
-    def test_set_backend_unknown_rejected(self):
-        with pytest.raises(ValueError, match="not-a-backend"):
-            set_backend("not-a-backend")
-
-    def test_set_backend_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "cuda9000")
-        set_backend("numpy")  # explicit selection wins over the env var
-        assert get_backend().name == "numpy"
-
-    def test_unavailable_accelerators_raise(self):
-        availability = available_backends()
-        assert availability["numpy"] is True
-        for name in ("cupy", "torch"):
-            if not availability[name]:
-                with pytest.raises(BackendUnavailable):
-                    get_backend(name)
-
-    def test_explicit_numpy_matches_default(self):
-        """Forcing the default backend is a no-op on results: the
-        explicit-numpy batch equals the default-selection batch."""
-        rng = np.random.default_rng(23)
-        cirs = np.stack([_random_cir(rng, 318, 2) for _ in range(3)])
-        config = SearchAndSubtractConfig(max_responses=2)
-        default = detect_batch(cirs, _BANK, TS, config, noise_std=0.01)
-        set_backend("numpy")
-        forced = detect_batch(cirs, _BANK, TS, config, noise_std=0.01)
-        assert len(forced) == len(default)
-        for got, want in zip(forced, default):
-            _assert_responses_close(got, want)
-
-    def test_plan_cache_key_carries_backend(self):
-        default = plan_cache_key([_PULSE], 509, 8, TS, batch_size=4)
-        explicit = plan_cache_key(
-            [_PULSE], 509, 8, TS, batch_size=4, backend="numpy"
-        )
-        assert default == explicit  # numpy IS the default component
-        assert default != plan_cache_key(
-            [_PULSE], 509, 8, TS, batch_size=4, backend="cupy"
-        )
-
-    def test_batch_plan_records_backend(self):
-        plan = batch_detector_plan([_PULSE], 509, 8, TS, batch_size=2)
-        assert plan.backend.name == "numpy"
-
-
 class TestThresholdEnginesAgree:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -327,9 +261,10 @@ class TestThresholdEnginesAgree:
         fast = ThresholdDetector(
             _PULSE, ThresholdConfig(max_responses=n_pulses)
         ).detect(cir, TS, noise_std=0.01)
-        naive = ThresholdDetector(
-            _PULSE, ThresholdConfig(max_responses=n_pulses, use_fast=False)
-        ).detect(cir, TS, noise_std=0.01)
+        naive = detect_threshold_reference(
+            cir, _PULSE, TS, ThresholdConfig(max_responses=n_pulses),
+            noise_std=0.01,
+        )
         # The two scans walk the *same* upsampled magnitude array, so
         # their peaks must agree exactly — no tolerance.
         assert [r.index for r in fast] == [r.index for r in naive]
@@ -586,39 +521,171 @@ class TestClassifierEnginesAgree:
             classify_batch(np.zeros((2, 256)), [], TS)
 
 
-class TestPlanFamilyKeys:
-    """Classifier plans share the cache with detector plans; the
-    ``kind`` discriminator must keep the two families apart at every
-    batch shape."""
+class TestExplicitPlanMismatch:
+    """An explicit ``plan=`` must have been built for the call: a plan
+    for another bank or sampling period of the same shape is rejected,
+    never silently run against the wrong spectra."""
 
-    def test_detector_and_classifier_keys_differ(self):
-        for batch_size in (None, 1, 8):
-            assert plan_cache_key(
-                [_PULSE], 509, 8, TS, batch_size=batch_size
-            ) != plan_cache_key(
-                [_PULSE], 509, 8, TS, batch_size=batch_size,
-                kind="classifier",
+    @staticmethod
+    def _plan(bank, batch_size, period=TS, length=318):
+        return BatchDetectorPlan(
+            detector_plan(list(bank), length, 8, period), batch_size
+        )
+
+    def _cirs(self, batch_size, length=318):
+        rng = np.random.default_rng(41)
+        return np.stack(
+            [_random_cir(rng, length, 2) for _ in range(batch_size)]
+        )
+
+    def test_detect_batch_rejects_other_bank(self):
+        # Registers 147/200/230 vs 147/201/255: same length, same shape.
+        plan = self._plan(TemplateBank.paper_bank(3), 2)
+        with pytest.raises(ValueError, match="template bank"):
+            detect_batch(
+                self._cirs(2), TemplateBank.spread(3), TS, plan=plan
             )
 
-    def test_classifier_plan_wraps_shared_batch_plan(self):
-        from repro.core.batch_id import BatchClassifierPlan, batch_classifier_plan
+    def test_classify_batch_rejects_other_bank(self):
+        plan = self._plan(TemplateBank.paper_bank(3), 2)
+        with pytest.raises(ValueError, match="template bank"):
+            classify_batch(
+                self._cirs(2), TemplateBank.spread(3), TS, plan=plan
+            )
 
-        bank = TemplateBank.paper_bank(2)
-        plan = batch_classifier_plan(bank, 509, 8, TS, batch_size=4)
-        assert isinstance(plan, BatchClassifierPlan)
-        assert plan.batch_size == 4
-        assert plan.n_templates == 2
-        # The wrapped detector plan is the *same* cached object the
-        # batched detection path uses — artifacts shared, not copied.
-        assert plan.detector is batch_detector_plan(
-            list(bank), 509, 8, TS, 4
-        )
-        # Repeat lookups hit the classifier-family cache entry.
-        assert batch_classifier_plan(bank, 509, 8, TS, batch_size=4) is plan
-
-    def test_bank_size_mismatch_rejected(self):
-        from repro.core.batch_id import BatchClassifierPlan
-
-        detector = batch_detector_plan([_PULSE], 509, 8, TS, 2)
+    def test_classify_batch_rejects_other_bank_size(self):
+        plan = self._plan([_PULSE], 2)
         with pytest.raises(ValueError, match="templates"):
-            BatchClassifierPlan(detector, TemplateBank.paper_bank(3))
+            classify_batch(
+                self._cirs(2), TemplateBank.paper_bank(3), TS, plan=plan
+            )
+
+    def test_rejects_other_sampling_period(self):
+        plan = self._plan(_BANK, 2, period=2 * TS)
+        with pytest.raises(ValueError, match="sampling period"):
+            detect_batch(self._cirs(2), _BANK, TS, plan=plan)
+
+    def test_rejects_other_shape(self):
+        plan = self._plan(_BANK, 3)
+        with pytest.raises(ValueError, match="shape"):
+            detect_batch(self._cirs(2), _BANK, TS, plan=plan)
+
+    def test_matching_plan_equals_cached_plan(self):
+        bank = TemplateBank.spread(3)
+        cirs = self._cirs(2)
+        config = SearchAndSubtractConfig(max_responses=2)
+        explicit = detect_batch(
+            cirs, bank, TS, config, noise_std=0.01,
+            plan=self._plan(bank, 2),
+        )
+        cached = detect_batch(cirs, bank, TS, config, noise_std=0.01)
+        assert explicit == cached
+
+
+class TestConcurrentCalls:
+    """``detect()`` and ``classify()`` run on private scratch, so calls
+    from several threads at once return exactly the sequential results."""
+
+    N_THREADS = 4  # more threads than the cores the suite runs on
+
+    def _run_threaded(self, call, cirs):
+        results = [None] * len(cirs)
+        errors = []
+        barrier = threading.Barrier(self.N_THREADS, timeout=30.0)
+
+        def worker(k):
+            try:
+                barrier.wait()
+                for _ in range(3):  # overlap several passes per thread
+                    results[k] = call(cirs[k])
+            except Exception as error:  # surfaced below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=worker, args=(k,))
+            for k in range(self.N_THREADS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-pass, often
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        return results
+
+    def _cirs(self):
+        rng = np.random.default_rng(43)
+        return [
+            _random_cir(rng, 509, 3) for _ in range(self.N_THREADS)
+        ]
+
+    def test_detect_from_threads_equals_sequential(self):
+        cirs = self._cirs()
+        detector = SearchAndSubtract(
+            TemplateBank.paper_bank(3), SearchAndSubtractConfig(max_responses=3)
+        )
+        call = lambda cir: detector.detect(cir, TS, noise_std=0.01)  # noqa: E731
+        sequential = [call(cir) for cir in cirs]
+        assert self._run_threaded(call, cirs) == sequential
+
+    def test_classify_from_threads_equals_sequential(self):
+        cirs = self._cirs()
+        classifier = PulseShapeClassifier(
+            TemplateBank.paper_bank(3), SearchAndSubtractConfig(max_responses=3)
+        )
+        call = lambda cir: classifier.classify(cir, TS, noise_std=0.01)  # noqa: E731
+        sequential = [call(cir) for cir in cirs]
+        assert self._run_threaded(call, cirs) == sequential
+
+
+class TestEngineTimers:
+    """Each engine pass is timed once, under the prefix of the entry
+    point that ran it — the stage split sums both prefixes, so a
+    classification counted under both would be double-counted."""
+
+    STAGES = ("batch_filter_pass", "batch_extract")
+
+    def _counts(self):
+        metrics = global_metrics()
+        return {
+            (prefix, stage): metrics.timer(f"{prefix}.{stage}").count
+            for prefix in ("detector", "classifier")
+            for stage in self.STAGES
+        }
+
+    def _passes(self, run):
+        before = self._counts()
+        run()
+        after = self._counts()
+        return {key: after[key] - before[key] for key in after}
+
+    def _cirs(self):
+        rng = np.random.default_rng(47)
+        return np.stack([_random_cir(rng, 318, 2) for _ in range(2)])
+
+    def test_classification_is_timed_as_classifier_only(self):
+        cirs = self._cirs()
+        config = SearchAndSubtractConfig(max_responses=2)
+
+        def run():
+            PulseShapeClassifier(_BANK, config).classify(cirs[0], TS)
+            classify_batch(cirs, _BANK, TS, config)
+
+        for (prefix, _stage), delta in self._passes(run).items():
+            assert delta == (2 if prefix == "classifier" else 0)
+
+    def test_detection_is_timed_as_detector_only(self):
+        cirs = self._cirs()
+        config = SearchAndSubtractConfig(max_responses=2)
+
+        def run():
+            SearchAndSubtract(_BANK, config).detect(cirs[0], TS)
+            detect_batch(cirs, _BANK, TS, config)
+
+        for (prefix, _stage), delta in self._passes(run).items():
+            assert delta == (2 if prefix == "detector" else 0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.constants import CIR_SAMPLING_PERIOD_S as TS
+from repro.core.batch import private_plan
 from repro.core.detection import SearchAndSubtractConfig
 from repro.core.pulse_id import ClassifiedResponse, PulseShapeClassifier
 from repro.signal.sampling import place_pulse
@@ -103,7 +104,13 @@ class TestFilterBankOutputs:
         classifier = PulseShapeClassifier(
             paper_bank, SearchAndSubtractConfig(max_responses=1, upsample_factor=4)
         )
-        outputs = classifier.filter_bank_outputs(cir, TS)
+        # The per-template curves of Fig. 6b: the engine's filter pass
+        # over the classifier's bank at its upsampling factor.
+        plan = private_plan(
+            list(classifier.bank), len(cir),
+            classifier.config.upsample_factor, TS,
+        )
+        outputs = plan.filter_pass(cir[np.newaxis, :])[0]
         assert outputs.shape == (3, 512 * 4)
 
 

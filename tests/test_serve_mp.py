@@ -114,8 +114,6 @@ class TestServeConfigRedesign:
             ServeConfig(defense="paranoid")
         with pytest.raises(TypeError, match="engine"):
             ServeConfig(engine="fast")
-        with pytest.raises(ValueError):
-            ServeConfig(backend="no-such-backend")
 
     def test_resolved_engine_requires_engine(self):
         with pytest.raises(ValueError, match="engine"):
@@ -132,13 +130,6 @@ class TestServeConfigRedesign:
         assert local.rate_limit is None
         assert local.n_shards == config.n_shards
         assert local.engine is config.engine
-
-    def test_deprecated_two_arg_shim(self):
-        engine = _engine()
-        with pytest.warns(DeprecationWarning, match="ServeConfig"):
-            service = RangingService(engine, ServeConfig(n_shards=3))
-        assert service.config.engine is engine
-        assert service.config.n_shards == 3
 
     def test_service_refuses_multiprocess_config(self):
         with pytest.raises(ValueError, match="RangingServer"):

@@ -77,24 +77,27 @@ class TestShardInvariance:
 
 
 class TestBatchedEqualsSerial:
+    """``batch_size=1`` runs every round as its own batch of one — what
+    ``classify()`` does per CIR — so these pin batched == one-at-a-time."""
+
     def test_batched_classifier_matches_serial(self):
         batched = SwarmScenario(
-            tiny_config(serial_classifier=False), seed=5, shards=1
+            tiny_config(batch_size=8), seed=5, shards=1
         ).run(3)
         serial = SwarmScenario(
-            tiny_config(serial_classifier=True), seed=5, shards=1
+            tiny_config(batch_size=1), seed=5, shards=1
         ).run(3)
         assert batched.events == serial.events
         assert batched.digest() == serial.digest()
 
     def test_batched_sharded_matches_serial_unsharded(self):
         batched = SwarmScenario(
-            tiny_config(serial_classifier=False, batch_size=3),
+            tiny_config(batch_size=3),
             seed=6,
             shards=3,
         ).run(2)
         serial = SwarmScenario(
-            tiny_config(serial_classifier=True), seed=6, shards=1
+            tiny_config(batch_size=1), seed=6, shards=1
         ).run(2)
         assert batched.digest() == serial.digest()
 
