@@ -8,20 +8,19 @@ Examples::
     python -m repro run all --trials 100
     python -m repro run table1 --trials 1000 --workers 4 --seed 7
 
-Global execution flags for ``run``:
+Global execution flags for ``run`` (every experiment takes all of
+them as keyword-only ``run()`` parameters):
 
 ``--seed SEED``
-    Master seed for the Monte-Carlo trial loops.  Experiments ported to
-    the :mod:`repro.runtime` executor derive every per-trial random
-    stream from it via ``SeedSequence.spawn``, so a fixed seed gives
-    bit-identical results at *any* ``--workers`` count.  Defaults to
-    each experiment's built-in seed.
+    Master seed for the Monte-Carlo trial loops.  Every experiment runs
+    its trials on the :mod:`repro.runtime` executor, which derives each
+    per-trial random stream from it via ``SeedSequence.spawn``, so a
+    fixed seed gives bit-identical results at *any* ``--workers`` count.
+    Defaults to each experiment's built-in seed.
 
 ``--workers N``
-    Trial-loop parallelism (default 1, the historical serial
-    behaviour).  ``N >= 2`` dispatches chunks of trials onto a
-    ``multiprocessing`` pool; experiments that have not been ported to
-    the runtime ignore the flag (a notice is printed).  After a run the
+    Trial-loop parallelism (default 1, serial).  ``N >= 2`` dispatches
+    chunks of trials onto a ``multiprocessing`` pool.  After a run the
     CLI prints the runtime metrics report: trials/sec, template-bank
     cache hit rate, and total wall-clock time.
 """
@@ -92,48 +91,28 @@ def _run_one(
     checkpoint: str | None = None,
     batch_size=None,
 ) -> None:
-    """Run one experiment, matching CLI flags against its signature.
+    """Run one experiment with the flags the user gave.
 
-    The standard-vocabulary flags (``trials``, ``seed``, ``workers``,
-    ``batch_size``, ``checkpoint``) are matched against the
-    experiment's ``run()`` by :func:`repro.experiments.common.
-    build_run_kwargs`; a note is printed for every flag the experiment
-    does not support instead of silently dropping it.
+    Flags left at ``None`` are not passed, so the experiment's own
+    default wins.
     """
-    from repro.experiments.common import build_run_kwargs
     from repro.runtime import MetricsRegistry
 
     module, _takes_trials = EXPERIMENTS[name]
     metrics = MetricsRegistry()
-    kwargs, unsupported = build_run_kwargs(
-        module.run,
+    flags = dict(
         trials=trials,
         seed=seed,
-        # Only request parallelism/batching when actually asked for, so
-        # unported experiments run silently at the defaults.
-        workers=workers if workers != 1 else None,
+        workers=workers,
         batch_size=batch_size,
         checkpoint=checkpoint,
-        metrics=metrics,
     )
-    for flag in unsupported:
-        if flag == "metrics":
-            continue  # internal plumbing, not a user-facing flag
-        if flag == "workers":
-            print(
-                f"note: {name} has not been ported to the parallel "
-                "runtime; running serially",
-                file=sys.stderr,
-            )
-        else:
-            print(
-                f"note: {name} does not take "
-                f"--{flag.replace('_', '-')}; ignoring",
-                file=sys.stderr,
-            )
-    result = module.run(**kwargs)
+    result = module.run(
+        metrics=metrics,
+        **{flag: value for flag, value in flags.items() if value is not None},
+    )
     print(result.render())
-    if "metrics" in kwargs and not metrics.is_empty():
+    if not metrics.is_empty():
         print()
         print(metrics.render(title=f"runtime metrics — {name}"))
     print()
@@ -208,8 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="parallel trial workers for runtime-ported experiments "
-        "(default: 1, serial)",
+        help="parallel trial workers (default: 1, serial)",
     )
     run_parser.add_argument(
         "--batch-size",
@@ -219,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="trials per engine call for experiments with a batched "
         "engine: an integer, or 'auto' to let the runtime pick a batch "
         "from the workload shape (CIR length, template-bank size, "
-        "worker count); other experiments ignore the flag with a note",
+        "worker count); experiments without one ignore the flag",
     )
     run_parser.add_argument(
         "--checkpoint",

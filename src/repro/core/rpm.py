@@ -114,22 +114,3 @@ class SlotPlan:
         if not 0 <= slot < self.n_slots:
             raise ValueError(f"slot {slot} out of range 0..{self.n_slots - 1}")
         return slot * self.slot_duration_s
-
-    def slot_of_offset(self, offset_s: float) -> int:
-        """Which slot a CIR offset (relative to the slot-0 anchor
-        response) falls into; clamps to the valid slot range.
-
-        Uses *rounding* rather than flooring: the anchor sits at its
-        slot's reference position, and same-slot responders deviate to
-        both sides (closer responders arrive earlier, farther ones
-        later).  Decoding is unambiguous as long as the round-trip excess
-        delay stays within half a slot.
-        """
-        slot = int(round(offset_s / self.slot_duration_s))
-        return max(0, min(slot, self.n_slots - 1))
-
-    def offset_within_slot(self, offset_s: float) -> float:
-        """Residual offset after removing the slot reference — the part
-        that encodes distance (Eq. 4 applies to it directly).  May be
-        negative for responders closer than the slot-0 anchor."""
-        return offset_s - self.slot_of_offset(offset_s) * self.slot_duration_s

@@ -109,13 +109,11 @@ class CombinedScheme:
         distance through Eq. 4 and the (slot, decoded shape) pair
         converts to the responder ID.
 
-        ``anchor_slot`` is the slot the anchor responder occupies.  The
-        paper's single-round experiments always have slot 0 occupied, so
-        the default keeps the historical behaviour; a swarm round polls
-        an arbitrary window of responders whose lowest occupied slot may
-        be any ``k`` — the initiator learns ``k`` from the decoded
-        payload of the first-arriving response and shifts every decoded
-        slot by it.
+        ``anchor_slot`` is the slot the anchor responder occupies; the
+        initiator learns it from the decoded payload of the
+        first-arriving response and shifts every decoded slot by it, so
+        the lowest occupied slot may be any ``k`` (a silent slot-0
+        responder, or a swarm round polling an arbitrary window).
         """
         if not 0 <= anchor_slot < self.n_slots:
             raise ValueError(
@@ -134,9 +132,13 @@ class CombinedScheme:
             offset = response.delay_s - anchor_delay
             # Relative slot (offsets are to the anchor, the lowest
             # occupied slot), clamped so ``anchor_slot + relative``
-            # stays a valid absolute slot.  With ``anchor_slot == 0``
-            # this is exactly ``SlotPlan.slot_of_offset`` /
-            # ``offset_within_slot``.
+            # stays a valid absolute slot.  It *rounds* rather than
+            # floors: the anchor sits at its slot's reference position
+            # and same-slot responders deviate to both sides (closer
+            # ones arrive earlier, farther ones later), so the decode is
+            # unambiguous while the round-trip excess stays within half
+            # a slot.  The residual encodes distance (Eq. 4) and is
+            # negative for a responder closer than the anchor.
             relative = int(round(offset / self.slot_plan.slot_duration_s))
             relative = max(0, min(relative, self.n_slots - 1 - anchor_slot))
             residual = offset - relative * self.slot_plan.slot_duration_s

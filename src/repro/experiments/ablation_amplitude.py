@@ -10,9 +10,7 @@ Ported to the :mod:`repro.runtime` trial executor: one trial per
 separation, each drawing from its own spawned generator, so
 ``--workers`` parallelises the sweep and serial and parallel runs are
 byte-identical (the timing column is the only non-deterministic value
-and never leaves the table).  The historical ``run(trials, seed)``
-positional call keeps working through the
-:func:`~repro.experiments.common.standard_run` shim.
+and never leaves the table).
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import numpy as np
 from repro.analysis.tables import Table
 from repro.constants import CIR_SAMPLING_PERIOD_S
 from repro.core.detection import SearchAndSubtract, SearchAndSubtractConfig
-from repro.experiments.common import ExperimentResult, standard_run
+from repro.experiments.common import ExperimentResult
 from repro.runtime import MetricsRegistry, run_trials
 from repro.signal.pulses import dw1000_pulse
 from repro.signal.sampling import place_pulse
@@ -101,7 +99,6 @@ def _amplitude_cell(
     )
 
 
-@standard_run("trials", "seed")
 def run(
     *,
     trials: int = 60,

@@ -10,9 +10,6 @@ accuracy.
 Ported to the :mod:`repro.runtime` trial executor: one trial per bank
 size, each drawing from its own spawned generator, so ``--workers``
 parallelises the sweep and serial and parallel runs are byte-identical.
-The historical ``run(trials, seed)`` positional call keeps working
-through the :func:`~repro.experiments.common.standard_run` shim (with a
-``DeprecationWarning``).
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from repro.analysis.tables import Table
 from repro.constants import CIR_SAMPLING_PERIOD_S
 from repro.core.detection import SearchAndSubtractConfig
 from repro.core.pulse_id import PulseShapeClassifier
-from repro.experiments.common import ExperimentResult, standard_run
+from repro.experiments.common import ExperimentResult
 from repro.runtime import MetricsRegistry, run_trials
 from repro.signal.sampling import place_pulse
 from repro.signal.templates import TemplateBank
@@ -84,7 +81,6 @@ def _bank_cell(
     )
 
 
-@standard_run("trials", "seed")
 def run(
     *,
     trials: int = 100,

@@ -31,7 +31,7 @@ from repro.constants import CIR_SAMPLING_PERIOD_S
 from repro.core.batch import detect_batch
 from repro.core.detection import SearchAndSubtract, SearchAndSubtractConfig
 from repro.core.threshold import ThresholdConfig, ThresholdDetector
-from repro.experiments.common import ExperimentResult, standard_run
+from repro.experiments.common import ExperimentResult
 from repro.runtime import (
     BatchTrial,
     MetricsRegistry,
@@ -154,7 +154,6 @@ def _separation_batch(
     ]
 
 
-@standard_run("trials", "seed", "workers", "metrics", "batch_size")
 def run(
     *,
     trials: int = 100,

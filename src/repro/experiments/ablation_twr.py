@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.analysis.tables import Table
 from repro.channel.stochastic import IndoorEnvironment
-from repro.experiments.common import ExperimentResult, standard_run
+from repro.experiments.common import ExperimentResult
 from repro.netsim.medium import Medium
 from repro.netsim.node import Node
 from repro.protocol.twr import DsTwr, SsTwr
@@ -65,7 +65,6 @@ def _trial(rng: np.random.Generator, index: int, *, seed: int) -> tuple:
     )
 
 
-@standard_run("trials", "seed")
 def run(
     *,
     trials: int = 400,

@@ -14,9 +14,7 @@ Ported to the :mod:`repro.runtime` trial executor: one trial per
 upsampling factor, each drawing from its own spawned generator, so
 ``--workers`` parallelises the sweep and serial and parallel runs are
 byte-identical (the runtime column is the only non-deterministic value
-and never leaves the table).  The historical ``run(trials, seed)``
-positional call keeps working through the
-:func:`~repro.experiments.common.standard_run` shim.
+and never leaves the table).
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import numpy as np
 from repro.analysis.tables import Table
 from repro.constants import CIR_SAMPLING_PERIOD_S
 from repro.core.detection import SearchAndSubtract, SearchAndSubtractConfig
-from repro.experiments.common import ExperimentResult, standard_run
+from repro.experiments.common import ExperimentResult
 from repro.runtime import MetricsRegistry, run_trials
 from repro.signal.pulses import dw1000_pulse
 from repro.signal.sampling import place_pulse
@@ -82,7 +80,6 @@ def _upsampling_cell(
     return factor, std_samples, seconds
 
 
-@standard_run("trials", "seed")
 def run(
     *,
     trials: int = 80,

@@ -39,7 +39,7 @@ from repro.channel.stochastic import IndoorEnvironment
 from repro.core.detection import SearchAndSubtractConfig
 from repro.core.rpm import SlotPlan
 from repro.core.scheme import CombinedScheme
-from repro.experiments.common import ExperimentResult, standard_run
+from repro.experiments.common import ExperimentResult
 from repro.netsim.medium import Medium
 from repro.netsim.node import Node
 from repro.protocol.concurrent import ConcurrentRangingSession
@@ -153,7 +153,6 @@ def _capacity_trial(
     return count, _swarm_identification_rate(count, trials, seed + count)
 
 
-@standard_run("trials", "seed")
 def run(
     *,
     trials: int = 40,

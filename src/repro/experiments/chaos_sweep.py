@@ -15,7 +15,7 @@ faults).
 Every trial is one independently seeded campaign on the
 :mod:`repro.runtime` executor: fault decisions derive from
 ``(fault seed, trial index)``, so serial and parallel sweeps are
-byte-identical, and ``checkpoint_dir`` lets an interrupted sweep resume
+byte-identical, and ``checkpoint`` lets an interrupted sweep resume
 without recomputing finished trials.
 
 Run from the shell::
@@ -38,7 +38,7 @@ from repro.channel.stochastic import IndoorEnvironment
 from repro.core.detection import SearchAndSubtractConfig
 from repro.core.rpm import SlotPlan
 from repro.core.scheme import CombinedScheme
-from repro.experiments.common import ExperimentResult, standard_run
+from repro.experiments.common import ExperimentResult
 from repro.analysis.tables import Table
 from repro.faults import (
     CirSaturation,
@@ -167,11 +167,6 @@ def _trial(
     )
 
 
-@standard_run(
-    "trials", "seed", "workers", "metrics", "intensities", "rounds",
-    "checkpoint_dir",
-    renames={"checkpoint_dir": "checkpoint"},
-)
 def run(
     *,
     trials: int = 20,

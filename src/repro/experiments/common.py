@@ -5,29 +5,21 @@ the reproduced table, and a flat dictionary of scalar metrics with their
 paper reference values, so EXPERIMENTS.md and the benchmark printers can
 treat every experiment uniformly.
 
-The module also owns the **standard run API**: every runtime-ported
-experiment exposes::
+Every experiment module exposes the **standard run API**::
 
     run(*, trials=..., seed=..., workers=1, batch_size=1,
         checkpoint=None, metrics=None, ...extras) -> ExperimentResult
 
 with keyword-only parameters in that canonical vocabulary
 (``batch_size`` accepts an int or ``"auto"``; ``checkpoint`` is a
-directory for resumable runs).  :func:`standard_run` decorates each
-``run`` with a deprecation shim that keeps the module's *historical*
-positional call working (mapped by the old parameter order, with a
-``DeprecationWarning``), and :func:`build_run_kwargs` is the one
-CLI-side argument builder that matches global flags against whatever
-signature an experiment actually has.
+directory for resumable runs), which the CLI passes its flags to
+directly.
 """
 
 from __future__ import annotations
 
-import functools
-import inspect
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List
 
 from repro.analysis.tables import Table
 
@@ -111,110 +103,3 @@ class ExperimentResult:
 
     def print(self) -> None:
         print(self.render())
-
-
-def standard_run(
-    *legacy_order: str,
-    renames: Optional[Mapping[str, str]] = None,
-) -> Callable:
-    """Standard-signature shim for an experiment ``run()``.
-
-    The decorated function must take keyword-only parameters (the
-    canonical ``run(*, trials, seed, workers, batch_size,
-    checkpoint=None, metrics=None, ...)`` form).  ``legacy_order`` names
-    the module's *old* positional parameter order; a legacy positional
-    call is remapped onto keywords by that order and flagged with a
-    ``DeprecationWarning`` — so ``fig2_cir.run(3, 25)`` still means
-    ``run(seed=3, trials=25)`` even though ``trials`` now comes first in
-    the canonical vocabulary.
-
-    ``renames`` maps retired parameter names to their canonical
-    replacements (e.g. ``{"checkpoint_dir": "checkpoint"}``); both
-    legacy positional slots and legacy keyword calls are translated,
-    again with a ``DeprecationWarning``.
-    """
-    renames = dict(renames or {})
-
-    def decorate(fn: Callable) -> Callable:
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any):
-            if args:
-                if len(args) > len(legacy_order):
-                    raise TypeError(
-                        f"{fn.__module__}.run() takes at most "
-                        f"{len(legacy_order)} legacy positional "
-                        f"argument(s) ({', '.join(legacy_order)}), got "
-                        f"{len(args)}"
-                    )
-                mapped = [
-                    renames.get(name, name)
-                    for name in legacy_order[: len(args)]
-                ]
-                warnings.warn(
-                    f"positional arguments to {fn.__module__}.run() are "
-                    "deprecated; call run("
-                    + ", ".join(f"{name}=..." for name in mapped)
-                    + ") instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                for name, value in zip(mapped, args):
-                    if name in kwargs:
-                        raise TypeError(
-                            f"run() got multiple values for argument "
-                            f"{name!r}"
-                        )
-                    kwargs[name] = value
-            for old, new in renames.items():
-                if old in kwargs:
-                    warnings.warn(
-                        f"{fn.__module__}.run(): parameter {old!r} is "
-                        f"deprecated; use {new!r}",
-                        DeprecationWarning,
-                        stacklevel=2,
-                    )
-                    if new in kwargs:
-                        raise TypeError(
-                            f"run() got values for both {old!r} and "
-                            f"{new!r}"
-                        )
-                    kwargs[new] = kwargs.pop(old)
-            return fn(**kwargs)
-
-        wrapper.__standard_run__ = True
-        wrapper.__legacy_order__ = tuple(legacy_order)
-        return wrapper
-
-    return decorate
-
-
-def build_run_kwargs(
-    run_fn: Callable,
-    **requested: Any,
-) -> Tuple[Dict[str, Any], List[str]]:
-    """Match CLI-level arguments against an experiment's ``run()``.
-
-    ``requested`` holds the standard vocabulary values (``trials``,
-    ``seed``, ``workers``, ``batch_size``, ``checkpoint``, ``metrics``,
-    ...); entries whose value is ``None`` are skipped (flag not given —
-    the experiment's default wins).  Returns ``(kwargs, unsupported)``:
-    the keyword arguments the function accepts, plus the names it does
-    *not* accept so the caller can tell the user which flags were
-    ignored.  Works with both decorated (:func:`standard_run`) and plain
-    ``run`` functions by inspecting through ``__wrapped__``.
-    """
-    fn = inspect.unwrap(run_fn)
-    parameters = inspect.signature(fn).parameters
-    accepts_kwargs = any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
-    kwargs: Dict[str, Any] = {}
-    unsupported: List[str] = []
-    for name, value in requested.items():
-        if value is None:
-            continue
-        if name in parameters or accepts_kwargs:
-            kwargs[name] = value
-        else:
-            unsupported.append(name)
-    return kwargs, unsupported

@@ -26,7 +26,7 @@ from repro.analysis.cir_features import rise_time_s, significant_peaks
 from repro.analysis.tables import Table
 from repro.channel.cir import ChannelRealization
 from repro.channel.geometry import Point, Room, image_source_taps
-from repro.experiments.common import ExperimentResult, standard_run
+from repro.experiments.common import ExperimentResult
 from repro.runtime import MetricsRegistry, run_trials
 from repro.signal.pulses import dw1000_pulse, narrowband_pulse
 
@@ -112,7 +112,6 @@ def _bandwidth_trial(
     )
 
 
-@standard_run()
 def run(
     *,
     trials: int | None = None,

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.analysis.cir_features import peak_to_noise_ratio
 from repro.analysis.tables import Table
-from repro.experiments.common import ExperimentResult, standard_run
+from repro.experiments.common import ExperimentResult
 from repro.radio.dw1000 import DW1000Radio, SignalArrival
 from repro.core.detection import SearchAndSubtract, SearchAndSubtractConfig
 from repro.runtime import MetricsRegistry, run_trials
@@ -114,10 +114,6 @@ def _trial(rng: np.random.Generator, index: int) -> tuple:
     return float(len(detected)), float(snr_db)
 
 
-@standard_run(
-    "seed", "trials", "workers", "metrics", "checkpoint_dir",
-    renames={"checkpoint_dir": "checkpoint"},
-)
 def run(
     *,
     trials: int = 25,

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.analysis.tables import Table
 from repro.constants import DELTA_RESP_S, PAPER_MIN_DELTA_RESP_S
-from repro.experiments.common import ExperimentResult, standard_run
+from repro.experiments.common import ExperimentResult
 from repro.protocol.messages import INIT_PAYLOAD_BYTES
 from repro.radio.frame import (
     RadioConfig,
@@ -43,7 +43,6 @@ def _timing_trial(rng: np.random.Generator, index: int) -> tuple:
     )
 
 
-@standard_run()
 def run(
     *,
     trials: int | None = None,

@@ -28,7 +28,7 @@ from repro.core.detection import SearchAndSubtract, SearchAndSubtractConfig
 from repro.core.matched_filter import matched_filter
 from repro.core.rpm import SlotPlan
 from repro.core.scheme import CombinedScheme
-from repro.experiments.common import ExperimentResult, standard_run
+from repro.experiments.common import ExperimentResult
 from repro.netsim.medium import Medium
 from repro.netsim.node import Node
 from repro.protocol.concurrent import ConcurrentRangingSession
@@ -143,9 +143,6 @@ def _trial(
     return tuple(estimates)
 
 
-@standard_run(
-    "trials", "seed", "compensate_tx_quantization", "workers", "metrics"
-)
 def run(
     *,
     trials: int = 200,

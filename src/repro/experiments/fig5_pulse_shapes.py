@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.analysis.tables import Table
 from repro.constants import NUM_PULSE_SHAPES
-from repro.experiments.common import ExperimentResult, standard_run
+from repro.experiments.common import ExperimentResult
 from repro.runtime import MetricsRegistry, run_trials
 from repro.signal.pulses import dw1000_pulse, pulse_width_factor
 from repro.signal.spectrum import estimate_bandwidth_10db, occupies_mask
@@ -55,7 +55,6 @@ def _shape_trial(
     )
 
 
-@standard_run()
 def run(
     *,
     trials: int | None = None,

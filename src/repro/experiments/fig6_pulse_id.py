@@ -20,7 +20,7 @@ from repro.analysis.tables import Table
 from repro.channel.stochastic import IndoorEnvironment
 from repro.core.rpm import SlotPlan
 from repro.core.scheme import CombinedScheme
-from repro.experiments.common import ExperimentResult, standard_run
+from repro.experiments.common import ExperimentResult
 from repro.netsim.medium import Medium
 from repro.netsim.node import Node
 from repro.protocol.concurrent import ConcurrentRangingSession
@@ -64,7 +64,6 @@ def _trial(rng: np.random.Generator, index: int) -> tuple:
     )
 
 
-@standard_run("trials", "seed", "workers", "metrics")
 def run(
     *,
     trials: int = 300,

@@ -26,7 +26,7 @@ from repro.channel.stochastic import IndoorEnvironment
 from repro.constants import PAPER_OVERLAP_DETECTION
 from repro.core.detection import SearchAndSubtract, SearchAndSubtractConfig
 from repro.core.threshold import ThresholdConfig, ThresholdDetector
-from repro.experiments.common import ExperimentResult, standard_run
+from repro.experiments.common import ExperimentResult
 from repro.netsim.medium import Medium
 from repro.netsim.node import Node
 from repro.protocol.concurrent import ConcurrentRangingSession
@@ -162,7 +162,6 @@ def _collect_overlapping(
     return outcomes[:trials]
 
 
-@standard_run("trials", "seed", "workers", "metrics")
 def run(
     *,
     trials: int = 500,

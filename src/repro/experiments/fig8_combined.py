@@ -27,7 +27,7 @@ from repro.core.batch_id import ClassifyBatchTrial
 from repro.core.detection import SearchAndSubtractConfig
 from repro.core.rpm import SlotPlan
 from repro.core.scheme import CombinedScheme
-from repro.experiments.common import ExperimentResult, standard_run
+from repro.experiments.common import ExperimentResult
 from repro.netsim.medium import Medium
 from repro.netsim.node import Node
 from repro.protocol.concurrent import ConcurrentRangingSession
@@ -136,7 +136,6 @@ def _fig8_trial() -> ClassifyBatchTrial:
     )
 
 
-@standard_run("trials", "seed")
 def run(
     *,
     trials: int = 100,

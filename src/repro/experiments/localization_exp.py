@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.analysis.tables import Table
 from repro.channel.geometry import Point
-from repro.experiments.common import ExperimentResult, standard_run
+from repro.experiments.common import ExperimentResult
 from repro.localization.anchors import AnchorNetwork
 from repro.localization.multilateration import gdop
 from repro.runtime import MetricsRegistry, run_trials
@@ -76,7 +76,6 @@ def _trial(
     )
 
 
-@standard_run("n_waypoints", "seed", renames={"n_waypoints": "trials"})
 def run(
     *,
     trials: int = 20,
@@ -88,9 +87,9 @@ def run(
 ) -> ExperimentResult:
     """Track the tag along the path and report position errors.
 
-    ``trials`` is the waypoint count of the rectangular path (the
-    legacy ``n_waypoints`` parameter).  ``batch_size`` is accepted for
-    the standard run signature and ignored (one fix per trial).
+    ``trials`` is the waypoint count of the rectangular path.
+    ``batch_size`` is accepted for the standard run signature and
+    ignored (one fix per trial).
     """
     del batch_size  # standard-signature parameter; no batched engine here
     metrics = metrics if metrics is not None else MetricsRegistry()

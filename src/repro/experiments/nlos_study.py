@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.analysis.tables import Table
 from repro.channel.stochastic import IndoorEnvironment
-from repro.experiments.common import ExperimentResult, standard_run
+from repro.experiments.common import ExperimentResult
 from repro.protocol.concurrent import ConcurrentRangingSession
 from repro.runtime import MetricsRegistry, run_trials
 
@@ -95,7 +95,6 @@ def _run_environment(
     }
 
 
-@standard_run("trials", "seed", "workers", "metrics")
 def run(
     *,
     trials: int = 60,

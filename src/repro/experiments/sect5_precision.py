@@ -19,7 +19,7 @@ import numpy as np
 from repro.analysis.tables import Table
 from repro.channel.stochastic import IndoorEnvironment
 from repro.constants import PAPER_SIGMA_TWR_M
-from repro.experiments.common import ExperimentResult, standard_run
+from repro.experiments.common import ExperimentResult
 from repro.netsim.medium import Medium
 from repro.netsim.node import Node
 from repro.protocol.twr import SsTwr
@@ -64,7 +64,6 @@ def twr_errors(
     return np.array(report.values)
 
 
-@standard_run("trials", "seed", "workers", "metrics")
 def run(
     *,
     trials: int = 1000,

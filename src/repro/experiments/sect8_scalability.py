@@ -21,7 +21,7 @@ import numpy as np
 from repro.analysis.tables import Table
 from repro.constants import RPM_MAX_OFFSET_M
 from repro.core.rpm import paper_slot_count, safe_slot_count
-from repro.experiments.common import ExperimentResult, standard_run
+from repro.experiments.common import ExperimentResult
 from repro.protocol.scheduling import network_sweep
 from repro.runtime import MetricsRegistry, run_trials
 
@@ -53,10 +53,6 @@ def _network_trial(
     )
 
 
-@standard_run(
-    "seed", "workers", "metrics", "checkpoint_dir",
-    renames={"checkpoint_dir": "checkpoint"},
-)
 def run(
     *,
     trials: int | None = None,

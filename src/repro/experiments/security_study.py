@@ -24,7 +24,7 @@ anomaly detector.
 
 Every trial is one independently seeded campaign on the
 :mod:`repro.runtime` executor — serial and parallel sweeps are
-byte-identical, and ``checkpoint_dir`` resumes interrupted grids.
+byte-identical, and ``checkpoint`` resumes interrupted grids.
 
 Run from the shell::
 
@@ -45,7 +45,7 @@ from repro.channel.stochastic import IndoorEnvironment
 from repro.core.detection import SearchAndSubtractConfig
 from repro.core.rpm import SlotPlan
 from repro.core.scheme import CombinedScheme
-from repro.experiments.common import ExperimentResult, standard_run
+from repro.experiments.common import ExperimentResult
 from repro.analysis.tables import Table
 from repro.faults import (
     ATTACK_KINDS,
@@ -257,10 +257,6 @@ def _grid(
     return cells
 
 
-@standard_run(
-    "trials", "seed", "workers", "metrics", "rounds", "checkpoint_dir",
-    renames={"checkpoint_dir": "checkpoint"},
-)
 def run(
     *,
     trials: int = 10,

@@ -44,7 +44,7 @@ from functools import partial
 from typing import Optional, Sequence, Tuple
 
 from repro.analysis.tables import Table
-from repro.experiments.common import ExperimentResult, standard_run
+from repro.experiments.common import ExperimentResult
 from repro.netsim.swarm import SwarmConfig, SwarmScenario
 from repro.runtime import MetricsRegistry, run_trials
 
@@ -115,7 +115,6 @@ def _swarm_cell(
     )
 
 
-@standard_run("trials", "seed")
 def run(
     *,
     trials: int = 8,

@@ -34,7 +34,7 @@ from repro.core.batch_id import ClassifyBatchTrial
 from repro.core.detection import SearchAndSubtractConfig
 from repro.core.rpm import SlotPlan
 from repro.core.scheme import CombinedScheme
-from repro.experiments.common import ExperimentResult, standard_run
+from repro.experiments.common import ExperimentResult
 from repro.netsim.medium import Medium
 from repro.netsim.node import Node
 from repro.protocol.concurrent import ConcurrentRangingSession
@@ -146,7 +146,6 @@ def _identification_rate(
     return float(np.mean(report.values))
 
 
-@standard_run("trials", "seed", "workers", "metrics")
 def run(
     *,
     trials: int = 200,

@@ -586,7 +586,6 @@ class SwarmScenario:
             rng=round_rng,
             faults=self._contention_plan(epoch, initiator, active),
             scheme_ids=[self._scheme_id(uid) for uid in polled],
-            decode_with_anchor_slot=True,
         )
         try:
             pending = session.begin_round(round_index=epoch)

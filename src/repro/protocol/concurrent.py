@@ -9,11 +9,12 @@ One round:
 3. All RESP frames superpose at the initiator; the radio estimates one
    CIR containing every responder's pulse.
 4. The initiator decodes the payload of the first-arriving response
-   (still possible per the paper / Corbalan & Picco) and computes the
-   anchor distance with Eq. 2.
+   (still possible per the paper / Corbalan & Picco), which names the
+   anchor responder and hence its RPM slot, and computes the anchor
+   distance with Eq. 2.
 5. Search-and-subtract + pulse-shape classification extract every
-   response from the CIR; slot + shape decode responder IDs; Eq. 4 maps
-   delays to distances.
+   response from the CIR; slot (counted from the anchor's) + shape
+   decode responder IDs; Eq. 4 maps delays to distances.
 
 The session supports three operating modes, matching the paper's
 narrative arc: plain detection (Sect. IV), pulse-shaping identification
@@ -182,6 +183,9 @@ class PendingRound:
     d_twr_m: float
     truth: Dict[int, float]
     trace: TraceRecorder
+    #: Local index of the first-arriving responder, whose payload the
+    #: initiator decoded: the decode takes its slot as the anchor slot.
+    anchor_source: int
     round_index: int = 0
     #: Fault machinery active for this round (internal; consumed by
     #: ``finish_round`` for the per-responder fault annotations).
@@ -189,11 +193,6 @@ class PendingRound:
     #: INIT transmit instant on the initiator's clock — the reference
     #: the defense screen verifies reply arrival times against.
     t_tx_init_local_s: float = 0.0
-    #: Local index of the first-arriving responder whose payload the
-    #: initiator decoded (``None`` on legacy pickles).  With
-    #: ``decode_with_anchor_slot`` the decode uses its slot as the
-    #: anchor slot instead of assuming slot 0 is occupied.
-    anchor_source: int | None = None
 
     @property
     def cir(self) -> np.ndarray:
@@ -260,14 +259,6 @@ class ConcurrentRangingSession:
         translates recovered scheme IDs back to local responders.
         ``None`` (default) keeps the historical identity mapping
         byte-for-byte.
-    decode_with_anchor_slot:
-        When ``True``, :meth:`finish_round` decodes slots relative to
-        the *anchor responder's* assigned slot (known to the initiator
-        from the first-arriving response's payload) instead of assuming
-        the earliest response occupies slot 0 — required when the polled
-        window does not contain a slot-0 responder.  Default ``False``
-        (the historical behaviour; every existing experiment populates
-        slot 0).
     defense:
         Optional :class:`~repro.protocol.defense.DefensePlan`.  With
         time hopping enabled, every responder adds its secret
@@ -297,7 +288,6 @@ class ConcurrentRangingSession:
         faults: FaultPlan | None = None,
         defense: DefensePlan | None = None,
         scheme_ids: Sequence[int] | None = None,
-        decode_with_anchor_slot: bool = False,
     ) -> None:
         if len(responders) == 0:
             raise ValueError("need at least one responder")
@@ -324,7 +314,6 @@ class ConcurrentRangingSession:
                 f"{scheme.capacity}"
             )
         self._wrap_assignments = bool(allow_duplicate_assignments)
-        self.decode_with_anchor_slot = bool(decode_with_anchor_slot)
         if not 0.0 <= init_loss_probability < 1.0:
             raise ValueError(
                 "init_loss_probability must be in [0, 1), got "
@@ -695,26 +684,16 @@ class ConcurrentRangingSession:
         )
         # ``capture.rx_timestamp_s`` marks the first path of the
         # earliest arrival — the anchor's reply *after* its RPM slot
-        # delay — so the reply interval fed to TWR must contain that
-        # same delay for it to cancel: the full ``t_tx - t_rx`` the
-        # anchor reports.  The historical code subtracted the slot
-        # delay from the reply side; with the anchor pinned to slot 0
-        # (every fixed-window experiment) that is a no-op, and the
-        # flag keeps those paths byte-identical.  Swarm rounds, whose
-        # anchor may sit in any slot, take the corrected branch —
-        # without it every distance in the round inherits a
-        # ``slot * slot_duration * c / 2`` bias.  The secret time hop
-        # needs no correction either way: it delays the arrival and
-        # the reported reply time equally, so plain TWR cancels it.
-        anchor_assignment = self._assignment(anchor_source)
-        anchor_reply_tx_s = anchor_message.t_tx_local_s
-        if not self.decode_with_anchor_slot:
-            anchor_reply_tx_s -= anchor_assignment.extra_delay_s
+        # delay — and the ``t_tx`` the anchor reports includes that same
+        # delay, so it cancels inside the reply interval whatever slot
+        # the anchor occupies.  The secret time hop cancels the same
+        # way: it delays the arrival and the reported reply time
+        # equally.
         d_twr = twr_distance_compensated(
             t_tx_init_local,
             capture.rx_timestamp_s,
             anchor_message.t_rx_local_s,
-            anchor_reply_tx_s,
+            anchor_message.t_tx_local_s,
             relative_drift_ppm=estimated_drift_ppm,
         )
 
@@ -726,10 +705,10 @@ class ConcurrentRangingSession:
             d_twr_m=d_twr,
             truth=truth,
             trace=trace,
+            anchor_source=anchor_source,
             round_index=round_index,
             active=active,
             t_tx_init_local_s=t_tx_init_local,
-            anchor_source=anchor_source,
         )
 
     def finish_round(
@@ -749,11 +728,12 @@ class ConcurrentRangingSession:
         """
         active = pending.active
         classified = list(classified)
-        anchor_slot = 0
-        if self.decode_with_anchor_slot and pending.anchor_source is not None:
-            anchor_slot = self._assignment(pending.anchor_source).slot
+        # The initiator decoded the first-arriving response's payload,
+        # so it knows the anchor's slot and decodes relative to it.
         ranging = self.scheme.decode_responses(
-            classified, pending.d_twr_m, anchor_slot=anchor_slot
+            classified,
+            pending.d_twr_m,
+            anchor_slot=self._assignment(pending.anchor_source).slot,
         )
 
         defense_report: DefenseReport | None = None
@@ -766,7 +746,6 @@ class ConcurrentRangingSession:
                 reply_delay_s=self.reply_delay_s,
                 assignment_fn=self._assignment,
                 round_index=pending.round_index,
-                expected_responders=len(pending.truth),
             )
 
         fault_notes = (

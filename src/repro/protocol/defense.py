@@ -143,14 +143,21 @@ class TimeHoppingConfig:
 class AnomalyDetectorConfig:
     """CIR-feature checks on decoded responses.
 
+    Three checks run on every decoded round:
+
+    * **Duplicate identities.**  A forged pulse necessarily collides
+      with its victim's (slot, shape) pair, so spoofing shows up as a
+      decoded identity on more than one response; all colliding
+      readings are rejected (the initiator cannot tell forged from
+      genuine within one round).
+    * **Score margin** (``min_confidence``), on every response.
+    * **Tail-to-peak energy** (``max_tail_peak_ratio``), on the response
+      nearest the CIR's global peak only — where tampering concentrates;
+      weak multipath rows would otherwise dominate the ratio with their
+      neighbours' energy.
+
     Parameters
     ----------
-    flag_duplicate_ids:
-        Flag decoded identities that appear on more than one response.
-        A forged pulse necessarily collides with its victim's
-        (slot, shape) pair, so spoofing shows up as a duplicate; all
-        colliding readings are rejected (the initiator cannot tell
-        forged from genuine within one round).
     dup_min_amplitude_ratio:
         A duplicate group only fires when at least two of its members
         have an estimated amplitude of at least this fraction of the
@@ -160,9 +167,6 @@ class AnomalyDetectorConfig:
         much weaker than its direct path; requiring two *strong* copies
         keeps the false-positive rate on clean rounds low.  ``0``
         disables the strength requirement.
-    duplicates_need_extra:
-        Additionally require the round to have decoded *more* responses
-        than there are responders before the duplicate check fires.
     min_confidence:
         Flag responses whose template-score margin (the winning /
         runner-up score ratio, always >= 1) falls below this.  The
@@ -171,22 +175,14 @@ class AnomalyDetectorConfig:
         Flag responses whose tail-to-peak energy ratio exceeds this
         (``None`` disables).  Reciprocity tampering inflates the
         diffuse tail relative to the peak; physical channels decay.
-    tail_check_peak_only:
-        Evaluate the energy-profile check only on the response nearest
-        the CIR's global peak — where tampering concentrates — instead
-        of every response; weak multipath rows otherwise dominate the
-        ratio with their neighbours' energy.
     tail_start_taps / tail_width_taps / peak_halfwidth_taps:
         Geometry of the energy-profile windows around each response
         peak, in CIR taps.
     """
 
-    flag_duplicate_ids: bool = True
     dup_min_amplitude_ratio: float = 0.5
-    duplicates_need_extra: bool = False
     min_confidence: float = 1.0
     max_tail_peak_ratio: Optional[float] = None
-    tail_check_peak_only: bool = True
     tail_start_taps: int = 4
     tail_width_taps: int = 32
     peak_halfwidth_taps: int = 2
@@ -239,21 +235,41 @@ class AnomalyDetectorConfig:
         return tail_energy / peak_energy
 
 
-def _response_amplitude(response) -> float:
-    """Estimated amplitude of a decoded response (0 when unavailable).
+def _cir_checks(
+    anomaly: AnomalyDetectorConfig, samples: np.ndarray, responses
+) -> List[Tuple[int, str, float]]:
+    """The anomaly checks that need nothing but the CIR.
 
-    Ranging results hold either bare
+    Returns ``(position, reason, value)`` for every response that fails
+    the score-margin (``low_confidence``) or the tail-to-peak energy
+    (``tail_energy``) check, in that order.  Responses are bare
     :class:`~repro.core.detection.DetectedResponse` objects or
-    :class:`~repro.core.pulse_id.ClassifiedResponse` wrappers around
-    them; both expose the search-and-subtract amplitude estimate.
+    :class:`~repro.core.pulse_id.ClassifiedResponse` wrappers; both
+    expose ``index``, and only the latter carries a ``confidence``.
     """
-    amplitude = getattr(response, "amplitude", None)
-    if amplitude is None:
-        amplitude = getattr(
-            getattr(response, "response", None), "amplitude", None
+    failed: List[Tuple[int, str, float]] = []
+    if anomaly.min_confidence > 1.0:
+        for position, response in enumerate(responses):
+            confidence = getattr(response, "confidence", None)
+            if (
+                confidence is not None
+                and confidence < anomaly.min_confidence
+            ):
+                failed.append(
+                    (position, "low_confidence", float(confidence))
+                )
+    if anomaly.max_tail_peak_ratio is not None:
+        global_peak = int(np.argmax(np.abs(samples)))
+        position = min(
+            range(len(responses)),
+            key=lambda p: abs(float(responses[p].index) - global_peak),
         )
-    # The search-and-subtract amplitude estimate may be complex.
-    return float(abs(amplitude)) if amplitude is not None else 0.0
+        ratio = anomaly.tail_peak_ratio(
+            samples, int(round(float(responses[position].index)))
+        )
+        if ratio > anomaly.max_tail_peak_ratio:
+            failed.append((position, "tail_energy", ratio))
+    return failed
 
 
 @dataclass(frozen=True)
@@ -336,58 +352,14 @@ def screen_responses(
     streaming == offline equality).
     """
     anomaly = plan.anomaly
-    flags: List[DefenseFlag] = []
     if anomaly is None or not len(responses):
-        return flags
-    if anomaly.min_confidence > 1.0:
-        for response in responses:
-            confidence = getattr(response, "confidence", None)
-            if (
-                confidence is not None
-                and confidence < anomaly.min_confidence
-            ):
-                flags.append(
-                    DefenseFlag(
-                        responder_id=None,
-                        reason="low_confidence",
-                        value=float(confidence),
-                    )
-                )
-    if anomaly.max_tail_peak_ratio is not None:
-        samples = np.asarray(cir)
-
-        def _index_of(response) -> float:
-            index = getattr(response, "index", None)
-            if index is None:
-                index = getattr(
-                    getattr(response, "response", None), "index", 0.0
-                )
-            return float(index)
-
-        positions = range(len(responses))
-        if anomaly.tail_check_peak_only:
-            global_peak = int(np.argmax(np.abs(samples)))
-            positions = [
-                min(
-                    range(len(responses)),
-                    key=lambda p: abs(
-                        _index_of(responses[p]) - global_peak
-                    ),
-                )
-            ]
-        for position in positions:
-            ratio = anomaly.tail_peak_ratio(
-                samples, int(round(_index_of(responses[position])))
-            )
-            if ratio > anomaly.max_tail_peak_ratio:
-                flags.append(
-                    DefenseFlag(
-                        responder_id=None,
-                        reason="tail_energy",
-                        value=ratio,
-                    )
-                )
-    return flags
+        return []
+    return [
+        DefenseFlag(responder_id=None, reason=reason, value=value)
+        for _, reason, value in _cir_checks(
+            anomaly, np.asarray(cir), responses
+        )
+    ]
 
 
 def screen_round(
@@ -399,7 +371,6 @@ def screen_round(
     reply_delay_s: float,
     assignment_fn: Callable,
     round_index: int,
-    expected_responders: int,
 ) -> Tuple[RangingResult, DefenseReport]:
     """Verify one decoded round against the active defenses.
 
@@ -448,7 +419,8 @@ def screen_round(
             responder_ids=ids,
         )
 
-    amplitudes = [_response_amplitude(response) for response in responses]
+    # The search-and-subtract amplitude estimate may be complex.
+    amplitudes = [float(abs(response.amplitude)) for response in responses]
     id_positions: Dict[int, List[int]] = {}
     for position, rid in enumerate(ids):
         if rid is not None:
@@ -503,75 +475,37 @@ def screen_round(
 
     anomaly = plan.anomaly
     if anomaly is not None and len(responses):
-        if anomaly.flag_duplicate_ids:
-            extra_ok = (
-                not anomaly.duplicates_need_extra
-                or len(responses) > expected_responders
+        for rid, positions in id_positions.items():
+            if len(positions) < 2:
+                continue
+            strongest = max(amplitudes[p] for p in positions)
+            strong = sum(
+                1
+                for p in positions
+                if strongest <= 0.0
+                or amplitudes[p]
+                >= anomaly.dup_min_amplitude_ratio * strongest
             )
-            if extra_ok:
-                for rid, positions in id_positions.items():
-                    if len(positions) < 2:
-                        continue
-                    strongest = max(amplitudes[p] for p in positions)
-                    strong = sum(
-                        1
-                        for p in positions
-                        if strongest <= 0.0
-                        or amplitudes[p]
-                        >= anomaly.dup_min_amplitude_ratio * strongest
-                    )
-                    if strong < 2:
-                        continue
-                    for position in positions:
-                        flags.append(
-                            DefenseFlag(
-                                responder_id=rid,
-                                reason="duplicate_id",
-                                value=float(len(positions)),
-                            )
-                        )
-                        reject.add(position)
-        if anomaly.min_confidence > 1.0:
-            for position, (response, rid) in enumerate(zip(responses, ids)):
-                confidence = getattr(response, "confidence", None)
-                if (
-                    confidence is not None
-                    and confidence < anomaly.min_confidence
-                ):
-                    flags.append(
-                        DefenseFlag(
-                            responder_id=rid,
-                            reason="low_confidence",
-                            value=float(confidence),
-                        )
-                    )
-                    reject.add(position)
-        if anomaly.max_tail_peak_ratio is not None:
-            positions = range(len(responses))
-            if anomaly.tail_check_peak_only:
-                global_peak = int(np.argmax(np.abs(capture.samples)))
-                positions = [
-                    min(
-                        range(len(responses)),
-                        key=lambda p: abs(
-                            float(responses[p].index) - global_peak
-                        ),
-                    )
-                ]
+            if strong < 2:
+                continue
             for position in positions:
-                response, rid = responses[position], ids[position]
-                ratio = anomaly.tail_peak_ratio(
-                    capture.samples, int(round(float(response.index)))
-                )
-                if ratio > anomaly.max_tail_peak_ratio:
-                    flags.append(
-                        DefenseFlag(
-                            responder_id=rid,
-                            reason="tail_energy",
-                            value=ratio,
-                        )
+                flags.append(
+                    DefenseFlag(
+                        responder_id=rid,
+                        reason="duplicate_id",
+                        value=float(len(positions)),
                     )
-                    reject.add(position)
+                )
+                reject.add(position)
+        for position, reason, value in _cir_checks(
+            anomaly, capture.samples, responses
+        ):
+            flags.append(
+                DefenseFlag(
+                    responder_id=ids[position], reason=reason, value=value
+                )
+            )
+            reject.add(position)
 
     if reject:
         keep = [p for p in range(len(responses)) if p not in reject]

@@ -47,7 +47,6 @@ from repro.runtime.executor import (
     TrialExecutor,
     TrialFailure,
     TrialRun,
-    WorkerTimeoutError,
     WorkloadShape,
     choose_batch_size,
     resolve_policy,
@@ -68,7 +67,6 @@ __all__ = [
     "TrialFailure",
     "TrialRun",
     "TrialRunReport",
-    "WorkerTimeoutError",
     "WorkloadShape",
     "all_cache_snapshots",
     "choose_batch_size",

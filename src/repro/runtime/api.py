@@ -94,13 +94,10 @@ def run_trials(
     fail_fast: bool = True,
     chunk_size: Optional[int] = None,
     worker_timeout_s: float = 600.0,
-    fallback_to_serial: bool = True,
     max_trial_retries: int = 0,
-    retry_backoff_s: float = 0.0,
     batch_size: Union[int, str] = 1,
     checkpoint_dir=None,
     checkpoint_label: Optional[str] = None,
-    executor: Optional[TrialExecutor] = None,
 ) -> TrialRunReport:
     """Run ``n_trials`` deterministic Monte-Carlo trials of ``fn``.
 
@@ -127,8 +124,7 @@ def run_trials(
         ``True``: first trial exception raises
         :class:`~repro.runtime.executor.TrialError`.  ``False``: failures
         are collected on the report and remaining trials continue.
-    chunk_size, worker_timeout_s, fallback_to_serial, max_trial_retries,
-    retry_backoff_s:
+    chunk_size, worker_timeout_s, max_trial_retries:
         See :class:`~repro.runtime.executor.ExecutionPolicy`.
     batch_size:
         When ``fn`` is a :class:`~repro.runtime.executor.BatchTrial`,
@@ -152,24 +148,18 @@ def run_trials(
     checkpoint_label:
         Separates checkpoints of different experiments sharing seed and
         trial count; defaults to the trial function's name.
-    executor:
-        Pre-built executor override (ignores ``workers`` and the policy
-        arguments).
     """
     if n_trials < 0:
         raise ValueError(f"n_trials must be >= 0, got {n_trials}")
     metrics = metrics if metrics is not None else MetricsRegistry()
-    if executor is None:
-        policy = ExecutionPolicy(
-            fail_fast=fail_fast,
-            chunk_size=chunk_size,
-            worker_timeout_s=worker_timeout_s,
-            fallback_to_serial=fallback_to_serial,
-            max_trial_retries=max_trial_retries,
-            retry_backoff_s=retry_backoff_s,
-            batch_size=batch_size,
-        )
-        executor = make_executor(workers=workers, policy=policy)
+    policy = ExecutionPolicy(
+        fail_fast=fail_fast,
+        chunk_size=chunk_size,
+        worker_timeout_s=worker_timeout_s,
+        max_trial_retries=max_trial_retries,
+        batch_size=batch_size,
+    )
+    executor = make_executor(workers=workers, policy=policy)
 
     if checkpoint_dir is None:
         run = executor.run(fn, n_trials, seed, metrics=metrics)

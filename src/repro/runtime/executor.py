@@ -47,7 +47,6 @@ from repro.runtime.metrics import MetricsRegistry
 __all__ = [
     "TrialFailure",
     "TrialError",
-    "WorkerTimeoutError",
     "TrialRun",
     "BatchTrial",
     "WorkloadShape",
@@ -228,10 +227,6 @@ class TrialError(RuntimeError):
         return (TrialError, (self.failure,))
 
 
-class WorkerTimeoutError(RuntimeError):
-    """A worker chunk exceeded the configured timeout."""
-
-
 @dataclass
 class TrialRun:
     """Results of one executor run.
@@ -276,22 +271,15 @@ class ExecutionPolicy:
         chunks per worker, balancing dispatch overhead against load
         balance.
     worker_timeout_s:
-        Per-chunk result deadline for the parallel executor.
-    fallback_to_serial:
-        When ``True`` (default) the parallel executor degrades
-        gracefully: it runs serially in-process if the pool cannot start
-        or the trial function cannot be pickled, and re-dispatches *only
-        the lost chunk* in-process when a worker chunk times out —
-        results are identical by construction, only slower.
+        Per-chunk result deadline for the parallel executor.  A chunk
+        that misses it is re-dispatched in-process (*only the lost
+        chunk*; results are identical by construction, only slower).
     max_trial_retries:
         Per-trial retry budget: a trial raising an exception is re-run
-        up to this many extra times (with a fresh generator from the
-        *same* seed child, so deterministic failures stay failures and
-        results stay reproducible) before it counts as failed.
-    retry_backoff_s / retry_backoff_factor:
-        Exponential backoff between per-trial retries: attempt ``k``
-        sleeps ``retry_backoff_s * retry_backoff_factor**k`` seconds of
-        real time first.
+        immediately, up to this many extra times (with a fresh generator
+        from the *same* seed child, so deterministic failures stay
+        failures and results stay reproducible) before it counts as
+        failed.
     batch_size:
         Trials per batched engine call when the trial function is a
         :class:`BatchTrial`.  ``1`` (default) runs every trial through
@@ -308,10 +296,7 @@ class ExecutionPolicy:
     fail_fast: bool = True
     chunk_size: Optional[int] = None
     worker_timeout_s: float = 600.0
-    fallback_to_serial: bool = True
     max_trial_retries: int = 0
-    retry_backoff_s: float = 0.0
-    retry_backoff_factor: float = 2.0
     batch_size: Union[int, str] = 1
 
     def __post_init__(self) -> None:
@@ -328,15 +313,6 @@ class ExecutionPolicy:
             raise ValueError(
                 "max_trial_retries must be >= 0, got "
                 f"{self.max_trial_retries}"
-            )
-        if self.retry_backoff_s < 0:
-            raise ValueError(
-                f"retry_backoff_s must be >= 0, got {self.retry_backoff_s}"
-            )
-        if self.retry_backoff_factor < 1.0:
-            raise ValueError(
-                "retry_backoff_factor must be >= 1, got "
-                f"{self.retry_backoff_factor}"
             )
         if isinstance(self.batch_size, str):
             if self.batch_size != "auto":
@@ -421,12 +397,6 @@ def _run_one(
                     error=repr(error),
                     traceback=traceback_module.format_exc(),
                 ), attempt
-            assert policy is not None
-            delay_s = policy.retry_backoff_s * (
-                policy.retry_backoff_factor**attempt
-            )
-            if delay_s > 0:
-                time.sleep(delay_s)
             attempt += 1
 
 
@@ -760,13 +730,11 @@ class ParallelExecutor(TrialExecutor):
         try:
             pickle.dumps(fn)
         except Exception as error:  # pickling errors vary by payload
-            if policy.fallback_to_serial:
-                return self._serial_fallback(
-                    fn, n_trials, seed, metrics,
-                    f"unpicklable fn: {error!r}",
-                    policy=policy, indices=indices, checkpoint=checkpoint,
-                )
-            raise
+            return self._serial_fallback(
+                fn, n_trials, seed, metrics,
+                f"unpicklable fn: {error!r}",
+                policy=policy, indices=indices, checkpoint=checkpoint,
+            )
 
         seeds = spawn_trial_seeds(seed, n_trials)
         items = [(index, seeds[index]) for index in work]
@@ -789,13 +757,11 @@ class ParallelExecutor(TrialExecutor):
         try:
             pool = context.Pool(processes=min(self.workers, len(chunks)))
         except Exception as error:  # pool refused to start (sandbox, limits)
-            if policy.fallback_to_serial:
-                return self._serial_fallback(
-                    fn, n_trials, seed, metrics,
-                    f"pool start failed: {error!r}",
-                    policy=policy, indices=indices, checkpoint=checkpoint,
-                )
-            raise
+            return self._serial_fallback(
+                fn, n_trials, seed, metrics,
+                f"pool start failed: {error!r}",
+                policy=policy, indices=indices, checkpoint=checkpoint,
+            )
 
         entries: List[Tuple[int, bool, Any]] = []
         redispatched = 0
@@ -813,13 +779,6 @@ class ParallelExecutor(TrialExecutor):
                         chunk_entries, delta, chunk_s, retries, batch_stats
                     ) = result.get(timeout=policy.worker_timeout_s)
                 except multiprocessing.TimeoutError:
-                    if not policy.fallback_to_serial:
-                        pool.terminate()
-                        raise WorkerTimeoutError(
-                            f"a chunk of {len(chunk_items)} trial(s) "
-                            f"exceeded the {policy.worker_timeout_s}s "
-                            "worker timeout"
-                        ) from None
                     # Worker crash/hang recovery: re-run ONLY the lost
                     # chunk in-process; the other chunks keep streaming
                     # from the pool (the hung worker's slot is written

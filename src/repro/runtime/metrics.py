@@ -243,9 +243,8 @@ class MetricsRegistry:
         """Fold a :meth:`snapshot` (e.g. from a worker) into this registry.
 
         Counters, timers, and histograms add; gauges take the incoming
-        value (last write wins).  Histogram entries may be the legacy
-        4-tuple ``(count, total, min, max)`` or the current 5-tuple with
-        a trailing reservoir sample list; both merge.
+        value (last write wins).  Histogram entries are ``(count, total,
+        min, max, samples)`` with the reservoir's sample list.
         """
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).inc(value)
@@ -255,16 +254,16 @@ class MetricsRegistry:
             timer = self.timer(name)
             timer.total_s += total_s
             timer.count += count
-        for name, entry in snapshot.get("histograms", {}).items():
-            count, total, low, high = entry[:4]
+        for name, (count, total, low, high, samples) in snapshot.get(
+            "histograms", {}
+        ).items():
             histogram = self.histogram(name)
             histogram.count += count
             histogram.total += total
             histogram.min = min(histogram.min, low)
             histogram.max = max(histogram.max, high)
-            if len(entry) > 4:
-                for sample in entry[4]:
-                    histogram._absorb(float(sample))
+            for sample in samples:
+                histogram._absorb(float(sample))
 
     @classmethod
     def merged(

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.channel.stochastic import IndoorEnvironment
+from repro.core.detection import SearchAndSubtractConfig
 from repro.core.rpm import SlotPlan
 from repro.core.scheme import CombinedScheme
+from repro.faults import FaultPlan, ResponderDropout
 from repro.netsim.medium import Medium
 from repro.netsim.node import Node
 from repro.protocol.concurrent import ConcurrentRangingSession
@@ -156,3 +158,30 @@ class TestRound:
         assert gap == pytest.approx(
             session.scheme.slot_plan.slot_duration_s, rel=0.05
         )
+
+    @pytest.mark.parametrize("seed", [1, 5, 9, 13])
+    def test_silent_slot0_responder_decodes_from_anchor_slot(self, seed):
+        """With the slot-0 responder silent the anchor sits in slot 1:
+        TWR must not subtract a slot delay and the decode must count
+        slots from the anchor's, or d_TWR is off by tens of metres and
+        the silent responder is 'identified' in place of a real one."""
+        session = ConcurrentRangingSession.build(
+            [3.0, 6.0, 9.0],
+            n_slots=3,
+            n_shapes=1,
+            seed=seed,
+            detector_config=SearchAndSubtractConfig(
+                max_responses=3, min_peak_snr=8.0
+            ),
+            compensate_tx_quantization=True,
+            faults=FaultPlan(
+                [ResponderDropout(1.0, responder_ids=[0])], seed=0
+            ),
+        )
+        result = session.run_round(start_time_s=0.25)
+        assert result.d_twr_m == pytest.approx(6.0, abs=0.3)
+        assert not result.outcome_for(0).identified
+        for responder_id in (1, 2):
+            outcome = result.outcome_for(responder_id)
+            assert outcome.identified
+            assert abs(outcome.error_m) < 0.3

@@ -14,6 +14,7 @@ from repro.protocol.defense import (
     AnomalyDetectorConfig,
     DefensePlan,
     TimeHoppingConfig,
+    screen_responses,
     screen_round,
 )
 from repro.runtime import MetricsRegistry
@@ -184,7 +185,6 @@ def _screen(plan, ranging, capture, round_index=0):
         reply_delay_s=REPLY_DELAY_S,
         assignment_fn=_assignment_fn,
         round_index=round_index,
-        expected_responders=len(ranging.responses),
     )
 
 
@@ -316,6 +316,34 @@ class TestScreenRoundAnomalies:
         capture.samples[FIRST_PATH + 4 : FIRST_PATH + 36] = 0.05
         _, report = _screen(plan, ranging, capture)
         assert not report.triggered
+
+    def test_serve_screen_agrees_with_session_screen(self):
+        """The serve-side screen raises the same CIR-only flags as the
+        session screen, unattributed (no identities on the serve path)."""
+        plan = DefensePlan(
+            anomaly=AnomalyDetectorConfig(
+                min_confidence=1.2, max_tail_peak_ratio=1.5
+            )
+        )
+        for low_confidence, inflated_tail, reasons in (
+            (True, False, ["low_confidence"]),
+            (False, True, ["tail_energy"]),
+            (True, True, ["low_confidence", "tail_energy"]),
+        ):
+            ranging, capture = _synthetic_round(HOPPING, [20e-9], ids=[0])
+            if low_confidence:
+                ranging.responses[0].confidence = 1.05
+            if inflated_tail:
+                capture.samples[FIRST_PATH + 4 : FIRST_PATH + 36] = 0.9
+            _, report = _screen(plan, ranging, capture)
+            served = screen_responses(
+                plan, capture.samples, ranging.responses
+            )
+            assert [f.reason for f in report.flags] == reasons
+            assert [(f.reason, f.value) for f in served] == [
+                (f.reason, f.value) for f in report.flags
+            ]
+            assert all(f.responder_id is None for f in served)
 
 
 # -- session and campaign integration ------------------------------------

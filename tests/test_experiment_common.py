@@ -79,148 +79,20 @@ class TestNewExperimentsSmoke:
         assert result.metric("ss_raw_abs_bias_m").measured > 0.005
 
 
-class TestStandardRun:
-    """The standard-signature shim: legacy positional calls keep
-    working (with a DeprecationWarning), renamed parameters translate,
-    and abuse raises TypeError."""
-
-    @staticmethod
-    def _make():
-        from repro.experiments.common import standard_run
-
-        calls = {}
-
-        @standard_run(
-            "seed", "trials", "checkpoint_dir",
-            renames={"checkpoint_dir": "checkpoint"},
-        )
-        def run(*, trials=25, seed=2, checkpoint=None):
-            calls.update(trials=trials, seed=seed, checkpoint=checkpoint)
-            return calls
-
-        return run, calls
-
-    def test_keyword_call_is_silent(self):
-        run, _ = self._make()
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run(trials=7, seed=3) == {
-                "trials": 7, "seed": 3, "checkpoint": None,
-            }
-
-    def test_legacy_positional_order_remaps(self):
-        """Old call order was (seed, trials): run(3, 25) must still mean
-        seed=3, trials=25 even though trials is now canonical-first."""
-        run, _ = self._make()
-        with pytest.warns(DeprecationWarning, match="positional"):
-            result = run(3, 25)
-        assert result == {"trials": 25, "seed": 3, "checkpoint": None}
-
-    def test_legacy_rename_in_positional_slot(self):
-        run, _ = self._make()
-        with pytest.warns(DeprecationWarning):
-            result = run(3, 25, "/tmp/ckpt")
-        assert result["checkpoint"] == "/tmp/ckpt"
-
-    def test_legacy_keyword_rename(self):
-        run, _ = self._make()
-        with pytest.warns(DeprecationWarning, match="checkpoint_dir"):
-            result = run(checkpoint_dir="/tmp/ckpt")
-        assert result["checkpoint"] == "/tmp/ckpt"
-
-    def test_too_many_positionals_raise(self):
-        run, _ = self._make()
-        with pytest.raises(TypeError, match="at most"):
-            run(1, 2, None, 4)
-
-    def test_positional_keyword_conflict_raises(self):
-        run, _ = self._make()
-        with pytest.raises(TypeError, match="multiple values"), \
-                pytest.warns(DeprecationWarning):
-            run(3, seed=4)
-
-    def test_rename_conflict_raises(self):
-        run, _ = self._make()
-        with pytest.raises(TypeError, match="both"), \
-                pytest.warns(DeprecationWarning):
-            run(checkpoint_dir="/a", checkpoint="/b")
-
-    def test_marker_attributes(self):
-        run, _ = self._make()
-        assert run.__standard_run__ is True
-        assert run.__legacy_order__ == ("seed", "trials", "checkpoint_dir")
-
-    def test_every_ported_experiment_is_decorated(self):
-        """The canonical vocabulary holds across the ported suite."""
+class TestRunVocabulary:
+    def test_every_cli_experiment_takes_the_standard_flags(self):
+        """The CLI passes its flags straight to ``run()``: every
+        registered experiment must take the whole vocabulary as
+        keyword-only parameters."""
         import inspect
 
-        from repro.experiments import (
-            ablation_detectors, chaos_sweep, fig2_cir, fig4_detection,
-            fig6_pulse_id, fig7_overlap, fig8_combined, nlos_study,
-            sect5_precision, sect8_scalability, table1_pulse_id,
-        )
+        from repro.cli import EXPERIMENTS
 
-        for module in (
-            ablation_detectors, chaos_sweep, fig2_cir, fig4_detection,
-            fig6_pulse_id, fig7_overlap, fig8_combined, nlos_study,
-            sect5_precision, sect8_scalability, table1_pulse_id,
-        ):
-            assert getattr(module.run, "__standard_run__", False), module
-            parameters = inspect.signature(
-                inspect.unwrap(module.run)
-            ).parameters
-            for name in ("trials", "seed", "workers", "batch_size",
+        for name, (module, _) in EXPERIMENTS.items():
+            parameters = inspect.signature(module.run).parameters
+            for flag in ("trials", "seed", "workers", "batch_size",
                          "checkpoint", "metrics"):
-                assert name in parameters, (module.__name__, name)
-                assert parameters[name].kind is (
+                assert flag in parameters, (name, flag)
+                assert parameters[flag].kind is (
                     inspect.Parameter.KEYWORD_ONLY
-                ), (module.__name__, name)
-
-
-class TestBuildRunKwargs:
-    def test_matches_supported_flags(self):
-        from repro.experiments.common import build_run_kwargs
-
-        def run(*, trials=1, seed=0, workers=1):
-            return None
-
-        kwargs, unsupported = build_run_kwargs(
-            run, trials=5, seed=2, workers=4, batch_size=8
-        )
-        assert kwargs == {"trials": 5, "seed": 2, "workers": 4}
-        assert unsupported == ["batch_size"]
-
-    def test_none_values_skipped(self):
-        from repro.experiments.common import build_run_kwargs
-
-        def run(*, trials=1, seed=0):
-            return None
-
-        kwargs, unsupported = build_run_kwargs(run, trials=None, seed=3)
-        assert kwargs == {"seed": 3}
-        assert unsupported == []
-
-    def test_inspects_through_standard_run_wrapper(self):
-        from repro.experiments.common import build_run_kwargs, standard_run
-
-        @standard_run("trials", "seed")
-        def run(*, trials=1, seed=0, batch_size=1):
-            return None
-
-        kwargs, unsupported = build_run_kwargs(
-            run, trials=2, batch_size="auto", checkpoint="/tmp/x"
-        )
-        assert kwargs == {"trials": 2, "batch_size": "auto"}
-        assert unsupported == ["checkpoint"]
-
-    def test_var_keyword_accepts_everything(self):
-        from repro.experiments.common import build_run_kwargs
-
-        def run(**kwargs):
-            return None
-
-        kwargs, unsupported = build_run_kwargs(run, anything=1, more=2)
-        assert kwargs == {"anything": 1, "more": 2}
-        assert unsupported == []
+                ), (name, flag)

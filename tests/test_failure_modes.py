@@ -1,10 +1,12 @@
 """Failure-injection and edge-case tests across the stack.
 
 The hand-built scenario classes (``TestMissingResponder``,
-``TestBlockedLinks``, ``TestNlosBias``) predate :mod:`repro.faults` and
-are kept as regression aliases for the low-level seams; the
-``*ViaFaults`` classes re-express the same scenarios end-to-end through
-the fault-injection machinery.
+``TestBlockedLinks``, ``TestNlosBias``) drive the low-level seams
+directly: each checks an exact seam behaviour (for example a fully
+blocked room raising in ``image_source_taps``, or the ~8 ns NLOS
+first-path bias) that no other test pins.  The ``*ViaFaults`` classes
+run the same scenarios end to end through the fault-injection
+machinery.
 """
 
 import numpy as np

@@ -11,6 +11,7 @@ from repro.core.detection import (
     SearchAndSubtract,
     SearchAndSubtractConfig,
 )
+from repro.core.pulse_id import ClassifiedResponse
 from repro.core.ranging import concurrent_distances, twr_distance_compensated
 from repro.core.rpm import SlotPlan
 from repro.core.scheme import CombinedScheme
@@ -130,16 +131,33 @@ class TestSchemeProperties:
 
     @given(
         n_slots=st.integers(min_value=1, max_value=10),
-        offset_ns=st.floats(min_value=-40.0, max_value=1000.0),
+        offset_ns=st.floats(min_value=0.0, max_value=1000.0),
     )
     @settings(max_examples=50, deadline=None)
     def test_slot_residual_consistency(self, n_slots, offset_ns):
-        """slot * duration + residual always reconstructs the offset."""
-        plan = SlotPlan(n_slots=n_slots, slot_duration_s=100e-9)
-        offset = offset_ns * 1e-9
-        slot = plan.slot_of_offset(offset)
-        residual = plan.offset_within_slot(offset)
-        assert slot * plan.slot_duration_s + residual == pytest.approx(
-            offset, abs=1e-15
+        """slot * duration + residual always reconstructs the offset.
+
+        Offsets are to the anchor, which is always the earliest
+        response, so they are never negative."""
+        scheme = CombinedScheme(
+            SlotPlan(n_slots=n_slots, slot_duration_s=100e-9),
+            TemplateBank.paper_bank(1),
         )
+        offset = offset_ns * 1e-9
+        anchor, other = (
+            ClassifiedResponse(
+                response=DetectedResponse(
+                    index=0.0, delay_s=delay_s, amplitude=1.0
+                ),
+                shape_index=0,
+                confidence=2.0,
+            )
+            for delay_s in (100e-9, 100e-9 + offset)
+        )
+        d_twr = 3.0
+        result = scheme.decode_responses([anchor, other], d_twr)
+        # One shape: the decoded responder ID is the slot index.
+        slot = result.responder_ids[1]
+        residual = 2 * (result.distances_m[1] - d_twr) / SPEED_OF_LIGHT
+        assert slot * 100e-9 + residual == pytest.approx(offset, abs=1e-15)
         assert 0 <= slot < n_slots

@@ -68,23 +68,6 @@ class TestSlotPlan:
         with pytest.raises(ValueError):
             plan.delay_for_slot(-1)
 
-    def test_slot_of_offset_rounds(self):
-        plan = SlotPlan(n_slots=4, slot_duration_s=100e-9)
-        assert plan.slot_of_offset(0.0) == 0
-        assert plan.slot_of_offset(40e-9) == 0
-        assert plan.slot_of_offset(60e-9) == 1
-        assert plan.slot_of_offset(-30e-9) == 0  # closer-than-anchor
-        assert plan.slot_of_offset(310e-9) == 3
-
-    def test_slot_clamped(self):
-        plan = SlotPlan(n_slots=2, slot_duration_s=100e-9)
-        assert plan.slot_of_offset(1e-6) == 1
-
-    def test_offset_within_slot_signed(self):
-        plan = SlotPlan(n_slots=4, slot_duration_s=100e-9)
-        assert plan.offset_within_slot(130e-9) == pytest.approx(30e-9)
-        assert plan.offset_within_slot(-20e-9) == pytest.approx(-20e-9)
-
     def test_plan_exceeding_cir_rejected(self):
         with pytest.raises(ValueError):
             SlotPlan(n_slots=10, slot_duration_s=200e-9)
@@ -209,3 +192,45 @@ class TestDecodeResponses:
     def test_empty(self, scheme):
         result = scheme.decode_responses([], 3.0)
         assert len(result) == 0
+
+    def _decode_offset(self, n_slots, offset_s, d_twr=3.0):
+        """Decode an anchor plus one single-shape response ``offset_s``
+        after it; returns that response's ``(slot, residual_s)``."""
+        scheme = CombinedScheme(
+            SlotPlan(n_slots=n_slots, slot_duration_s=100e-9),
+            TemplateBank.paper_bank(1),
+        )
+        anchor_delay = 100e-9
+        result = scheme.decode_responses(
+            [
+                self._classified(anchor_delay, 0),
+                self._classified(anchor_delay + offset_s, 0),
+            ],
+            d_twr,
+        )
+        residual_s = 2 * (result.distances_m[1] - d_twr) / SPEED_OF_LIGHT
+        # With one shape the decoded responder ID is the slot index.
+        return result.responder_ids[1], residual_s
+
+    def test_slot_rounds_to_nearest(self):
+        """Same-slot responders deviate to both sides of the slot
+        reference, so the slot rounds at half a slot."""
+        for offset_s, slot in ((0.0, 0), (40e-9, 0), (60e-9, 1), (310e-9, 3)):
+            decoded, _ = self._decode_offset(4, offset_s)
+            assert decoded == slot, offset_s
+
+    def test_residual_within_slot_signed(self):
+        """The residual after removing the slot reference is signed:
+        positive past the reference, negative for a responder closer
+        than the anchor."""
+        for offset_s, slot, expected_s in (
+            (130e-9, 1, 30e-9), (80e-9, 1, -20e-9),
+        ):
+            decoded, residual_s = self._decode_offset(4, offset_s)
+            assert decoded == slot, offset_s
+            assert residual_s == pytest.approx(expected_s, abs=1e-15)
+
+    def test_slot_clamped_past_last_slot(self):
+        decoded, residual_s = self._decode_offset(2, 1e-6)
+        assert decoded == 1
+        assert residual_s == pytest.approx(900e-9, abs=1e-15)

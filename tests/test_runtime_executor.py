@@ -13,7 +13,6 @@ from repro.runtime import (
     ParallelExecutor,
     SerialExecutor,
     TrialError,
-    WorkerTimeoutError,
     run_trials,
     spawn_trial_seeds,
 )
@@ -167,13 +166,6 @@ class TestParallelExecutor:
         # No double count of trials through the fallback path.
         assert metrics.counter("runtime.trials").value == 5
 
-    def test_unpicklable_fn_raises_without_fallback(self):
-        policy = ExecutionPolicy(fallback_to_serial=False)
-        with pytest.raises(Exception):
-            ParallelExecutor(workers=2, policy=policy).run(
-                lambda rng, i: i, 5, seed=0
-            )
-
     def test_parallel_metrics_report_chunks(self):
         metrics = MetricsRegistry()
         policy = ExecutionPolicy(chunk_size=5)
@@ -271,14 +263,6 @@ class TestExecutionPolicyValidation:
         with pytest.raises(ValueError, match="max_trial_retries"):
             ExecutionPolicy(max_trial_retries=-1)
 
-    def test_negative_backoff_rejected(self):
-        with pytest.raises(ValueError, match="retry_backoff_s"):
-            ExecutionPolicy(retry_backoff_s=-0.1)
-
-    def test_sub_unit_backoff_factor_rejected(self):
-        with pytest.raises(ValueError, match="retry_backoff_factor"):
-            ExecutionPolicy(retry_backoff_factor=0.5)
-
 
 class TestTrialRetries:
     def setup_method(self):
@@ -329,16 +313,6 @@ class TestWorkerTimeoutRecovery:
         # No double count of trials through the recovery path.
         assert metrics.counter("runtime.trials").value == 6
 
-    def test_timeout_raises_without_fallback(self):
-        policy = ExecutionPolicy(
-            chunk_size=2, worker_timeout_s=0.5, fallback_to_serial=False
-        )
-        metrics = MetricsRegistry()
-        with pytest.raises(WorkerTimeoutError):
-            ParallelExecutor(workers=2, policy=policy).run(
-                hang_in_worker, 6, seed=0, metrics=metrics
-            )
-
 
 class TestPoolStartFailure:
     class _BrokenContext:
@@ -362,17 +336,3 @@ class TestPoolStartFailure:
         assert "pool start failed" in run.fallback_reason
         assert metrics.counter("runtime.serial_fallbacks").value == 1
         assert metrics.counter("runtime.trials").value == 6
-
-    def test_pool_start_failure_raises_without_fallback(self, monkeypatch):
-        import multiprocessing
-
-        monkeypatch.setattr(
-            multiprocessing,
-            "get_context",
-            lambda *a, **k: TestPoolStartFailure._BrokenContext(),
-        )
-        policy = ExecutionPolicy(fallback_to_serial=False)
-        with pytest.raises(OSError):
-            ParallelExecutor(workers=2, policy=policy).run(
-                draw_normal, 6, seed=3
-            )

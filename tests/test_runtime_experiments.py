@@ -5,8 +5,6 @@ produce *identical* metrics for any worker count — parallelism is a
 pure throughput knob, never a statistics knob.
 """
 
-import pytest
-
 from repro.experiments import (
     ablation_amplitude,
     ablation_bank,
@@ -22,8 +20,6 @@ from repro.experiments import (
     table1_pulse_id,
 )
 from repro.runtime import MetricsRegistry
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 class TestSerialParallelEquality:
@@ -295,14 +291,3 @@ class TestPortedAblations:
         assert {
             "toa_std_1x_ps", "toa_std_8x_ps", "improvement_1x_to_8x"
         } <= set(ups.as_dict())
-
-    def test_legacy_positional_calls_warn_and_work(self):
-        for module, args in (
-            (ablation_bank, (5, 41)),
-            (ablation_amplitude, (3, 53)),
-            (ablation_upsampling, (5, 61)),
-        ):
-            with pytest.warns(DeprecationWarning):
-                legacy = module.run(*args)
-            modern = module.run(trials=args[0], seed=args[1])
-            assert legacy.as_dict() == modern.as_dict()

@@ -186,20 +186,6 @@ class TestQuantiles:
         target.merge_snapshot(source.snapshot())
         assert target.histogram("h").quantile(0.5) == 2.0
 
-    def test_merge_snapshot_accepts_legacy_4_tuple(self):
-        import math
-
-        target = MetricsRegistry()
-        target.merge_snapshot(
-            {"histograms": {"h": (3, 6.0, 1.0, 3.0)}}
-        )
-        histogram = target.histogram("h")
-        assert histogram.count == 3
-        assert histogram.total == 6.0
-        assert histogram.min == 1.0 and histogram.max == 3.0
-        # No reservoir travelled, so quantiles are honestly unknown.
-        assert math.isnan(histogram.quantile(0.5))
-
 
 class TestPrometheus:
     def _loaded(self):

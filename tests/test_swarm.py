@@ -27,8 +27,6 @@ from repro.core.scheme import CombinedScheme
 from repro.netsim.swarm import MobilityTrace, SwarmConfig, SwarmScenario
 from repro.signal.templates import TemplateBank
 
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 
 def tiny_config(**overrides) -> SwarmConfig:
     """A fast scenario: small scheme, narrow window, light upsampling."""
