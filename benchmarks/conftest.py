@@ -6,9 +6,12 @@ next to the paper's reference values, asserts the *shape* criteria
 (who wins, rough factors, monotonicities), and times the experiment's
 computational kernel with pytest-benchmark.
 
-Run with::
+Run the shape checks (CI's paper-claims job) with::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src python -m pytest benchmarks --ignore=benchmarks/perf --benchmark-disable
+
+and add the kernel timings with ``--benchmark-only`` in place of
+``--benchmark-disable``.
 """
 
 import pytest

@@ -31,8 +31,8 @@ One engine plus one oracle implement the loop:
   iteration.  :meth:`SearchAndSubtract.detect` is a batch of one;
 * the **oracle** (:func:`detect_reference`) is the literal
   transcription of the paper's steps: subtract from the working signal,
-  re-run every matched filter.  Tests and ``benchmarks/bench_detector.py``
-  call it directly to check the engine.
+  re-run every matched filter.  Tests call it directly to check the
+  engine.
 """
 
 from __future__ import annotations

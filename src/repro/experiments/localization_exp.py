@@ -21,7 +21,7 @@ import numpy as np
 from repro.analysis.tables import Table
 from repro.channel.geometry import Point
 from repro.experiments.common import ExperimentResult
-from repro.localization.anchors import AnchorNetwork
+from repro.localization.anchors import AnchorNetwork, InsufficientAnchorsError
 from repro.localization.multilateration import gdop
 from repro.runtime import MetricsRegistry, run_trials
 
@@ -63,11 +63,21 @@ def _trial(
     """One position fix at waypoint ``index`` of the walking path.
 
     Returns ``(error_m, rms_residual_m, anchors_used, gdop)`` — plain
-    scalars so the parallel path ships small payloads.
+    scalars so the parallel path ships small payloads.  A round that
+    identifies fewer than three anchors is an invalid fix (NaN error,
+    infinite residual), not an aborted run.
     """
     waypoint = waypoints(n_waypoints)[index]
     network = AnchorNetwork(ANCHORS, seed=rng, n_slots=4, n_shapes=1)
-    fix = network.locate(waypoint)
+    try:
+        fix = network.locate(waypoint)
+    except InsufficientAnchorsError as error:
+        return (
+            float("nan"),
+            float("inf"),
+            float(error.anchors_used),
+            gdop(ANCHORS, waypoint),
+        )
     return (
         fix.error_m,
         fix.fit.rms_residual_m,

@@ -42,6 +42,17 @@ class PositionFix:
         return self.estimate.distance_to(self.true_position)
 
 
+class InsufficientAnchorsError(RuntimeError):
+    """A round identified fewer than the three anchors a 2-D fix needs."""
+
+    def __init__(self, anchors_used: int) -> None:
+        super().__init__(
+            f"only {anchors_used} anchors identified — cannot fix a 2-D "
+            "position"
+        )
+        self.anchors_used = anchors_used
+
+
 class AnchorNetwork:
     """Fixed anchors + a movable tag.
 
@@ -124,7 +135,8 @@ class AnchorNetwork:
         )
 
     def locate(self, tag_position: Point) -> PositionFix:
-        """One concurrent ranging round + multilateration at a position."""
+        """One concurrent ranging round + multilateration at a position;
+        raises :class:`InsufficientAnchorsError` below three anchors."""
         session = self._build_session(tag_position)
         result = session.run_round()
 
@@ -137,10 +149,7 @@ class AnchorNetwork:
                 )
                 distances.append(outcome.estimated_distance_m)
         if len(anchors_used) < 3:
-            raise RuntimeError(
-                f"only {len(anchors_used)} anchors identified — cannot fix "
-                "a 2-D position"
-            )
+            raise InsufficientAnchorsError(len(anchors_used))
         fit = multilaterate_robust(anchors_used, distances)
         return PositionFix(
             estimate=fit.position,

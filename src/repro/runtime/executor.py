@@ -106,7 +106,7 @@ MAX_BATCH_SCRATCH_BYTES = 256 * 1024 * 1024
 
 #: Largest batch size :func:`choose_batch_size` will ever pick; beyond
 #: this the FFT batching gains flatten while the scratch buffers keep
-#: growing (see ``benchmarks/bench_detector.py``, B in {1, 8, 64}).
+#: growing (``tests/test_properties_detection.py`` runs B in {1, 8, 64}).
 MAX_AUTO_BATCH = 64
 
 
@@ -131,8 +131,8 @@ def choose_batch_size(
       so they stay under :data:`MAX_BATCH_SCRATCH_BYTES`.
     * **Diminishing returns.**  Past :data:`MAX_AUTO_BATCH` the
       forward/inverse transforms are already fully amortised
-      (measured in ``BENCH_detector.json``), so larger batches only pay
-      memory.
+      (``TestBatchSpeedup`` in ``tests/test_properties_detection.py``
+      times B=64), so larger batches only pay memory.
 
     The result is rounded down to a power of two so chunks split into
     even groups, and is always >= 1.  Determinism note: the choice

@@ -72,7 +72,10 @@ class MicroBatcher:
         the returned batch — a caller that gets cancelled mid-gather
         still holds every item this call consumed from the queue, which
         is how the service keeps its no-lost-requests invariant across
-        a non-drain shutdown.
+        a non-drain shutdown.  Cancellation always wins: an item that
+        reached the getter in the same loop turn as the cancel lands in
+        ``into`` (a :data:`STOP` is dropped, the stream ends either way)
+        and the call still raises ``CancelledError``.
         """
         batch: List[Any]
         if into is not None:
@@ -100,10 +103,22 @@ class MicroBatcher:
                 remaining = flush_at - loop.time()
                 if remaining <= 0:
                     return batch, "deadline", False
+                # Not wait_for: it returns an item that raced a cancel
+                # and swallows the cancellation.
+                getter = asyncio.ensure_future(queue.get())
                 try:
-                    item = await asyncio.wait_for(queue.get(), remaining)
-                except asyncio.TimeoutError:
+                    await asyncio.wait((getter,), timeout=remaining)
+                except asyncio.CancelledError:
+                    if getter.done() and not getter.cancelled():
+                        item = getter.result()
+                        if item is not STOP:
+                            batch.append(item)
+                    getter.cancel()
+                    raise
+                if not getter.done():
+                    getter.cancel()
                     return batch, "deadline", False
+                item = getter.result()
             if item is STOP:
                 return batch, "drain", True
             batch.append(item)

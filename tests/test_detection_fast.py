@@ -97,6 +97,33 @@ class TestFastNaiveEquivalence:
         assert len(fast) == 3
         assert_equivalent(fast, naive)
 
+    @pytest.mark.parametrize(
+        "n_templates, n_pulses",
+        [(4, 4), (1, 2)],
+        ids=["table1", "fig7"],
+    )
+    def test_experiment_shapes(self, n_templates, n_pulses):
+        """The Table I shape (4 templates, 4 pulses) and the Fig. 7
+        shape (1 template, 2 pulses) on 1016-tap CIRs at 8x upsampling,
+        16 random placements each."""
+        rng = np.random.default_rng(2018 + n_templates)
+        bank = TemplateBank.paper_bank(n_templates)
+        for _ in range(16):
+            placements = [
+                (
+                    int(rng.integers(n_templates)),
+                    position,
+                    rng.uniform(0.4, 1.0) * np.exp(2j * np.pi * rng.random()),
+                )
+                for position in np.sort(rng.uniform(16.0, 1000.0, n_pulses))
+            ]
+            cir = synth_cir(rng, 1016, bank, 1e-3, placements)
+            fast, naive = detect_both(
+                bank, cir, noise_std=1e-3,
+                max_responses=n_pulses, upsample_factor=8,
+            )
+            assert_equivalent(fast, naive)
+
     @pytest.mark.parametrize("upsample_factor", (1, 4, 8))
     def test_upsample_factors(self, upsample_factor):
         rng = np.random.default_rng(77)

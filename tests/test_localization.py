@@ -1,14 +1,19 @@
 """Unit + integration tests for the localization subpackage."""
 
+from functools import partial
+
+import numpy as np
 import pytest
 
 from repro.channel.geometry import Point
+from repro.experiments import localization_exp
 from repro.localization.anchors import AnchorNetwork
 from repro.localization.multilateration import (
     gdop,
     multilaterate,
     multilaterate_robust,
 )
+from repro.runtime import run_trials
 
 SQUARE = [Point(0, 0), Point(10, 0), Point(10, 10), Point(0, 10)]
 
@@ -125,3 +130,21 @@ class TestAnchorNetwork:
     def test_capacity_check(self):
         with pytest.raises(ValueError):
             AnchorNetwork(SQUARE, n_slots=1, n_shapes=2)
+
+
+class TestInsufficientAnchors:
+    def test_short_round_is_an_invalid_fix_not_an_aborted_run(self):
+        """Waypoint 8 of the seed-43, 16-waypoint path identifies two
+        anchors; that waypoint is one invalid fix, the run goes on."""
+        report = run_trials(
+            partial(localization_exp._trial, n_waypoints=16), 16, seed=43
+        )
+        short = [row for row in report.values if row[2] < 3]
+        assert len(short) == 1
+        error_m, residual_m, anchors_used, _ = short[0]
+        assert np.isnan(error_m)
+        assert residual_m == np.inf
+        assert anchors_used == 2.0
+        result = localization_exp.run(trials=16)
+        assert result.metric("valid_fix_rate").measured == 15 / 16
+        assert result.metric("median_error_m").measured < 0.25

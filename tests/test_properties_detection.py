@@ -22,10 +22,19 @@ the tolerance keeps the suite platform-safe).
 plan (which carries mutable ``(B, n_templates, fft_length)`` scratch)
 must never be served where the shared :class:`DetectorPlan` is
 expected — not even at B=1.
+
+On the Table I shape (4-template bank, 1016-tap CIRs, 8x upsampling,
+4 responses) the batched engines also equal the per-CIR calls at
+B in {1, 8, 64}, a warm B=64 pass beats the per-CIR loop by a paired
+median factor (``TestBatchSpeedup``), and a two-worker ``run_trials``
+sweep builds the plan once per worker (``TestWorkerPlanReuse``).
 """
 
+import functools
+import statistics
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -46,6 +55,8 @@ from repro.core.threshold import (
     ThresholdDetector,
     detect_threshold_reference,
 )
+from repro.runtime import MetricsRegistry, run_trials
+from repro.runtime.cache import clear_all_caches
 from repro.runtime.metrics import global_metrics
 from repro.signal.pulses import dw1000_pulse
 from repro.signal.sampling import place_pulse
@@ -90,6 +101,53 @@ def _random_cir(
         rng.standard_normal(length) + 1j * rng.standard_normal(length)
     ) / np.sqrt(2.0)
     return cir
+
+
+#: The Table I / Fig. 4 engine shape.
+_TABLE1_BANK = TemplateBank.paper_bank(4)
+_TABLE1_CONFIG = SearchAndSubtractConfig(max_responses=4, upsample_factor=8)
+_TABLE1_NOISE = 1e-3
+
+
+@functools.lru_cache(maxsize=None)
+def _table1_cirs() -> np.ndarray:
+    """64 Table I-shaped CIRs: 4 bank pulses at random fractional
+    positions with random amplitudes and phases, plus white noise."""
+    rng = np.random.default_rng(2018)
+    cirs = np.zeros((64, 1016), dtype=complex)
+    for cir in cirs:
+        for position in np.sort(rng.uniform(16.0, 1000.0, size=4)):
+            template = _TABLE1_BANK[int(rng.integers(len(_TABLE1_BANK)))]
+            amplitude = rng.uniform(0.4, 1.0) * np.exp(
+                2j * np.pi * rng.random()
+            )
+            place_pulse(
+                cir,
+                template.samples.astype(complex),
+                position,
+                amplitude=amplitude,
+                peak_index=template.peak_index,
+            )
+        cir += _TABLE1_NOISE * (
+            rng.standard_normal(1016) + 1j * rng.standard_normal(1016)
+        ) / np.sqrt(2.0)
+    cirs.setflags(write=False)  # one cached array serves every test
+    return cirs
+
+
+def _in_batches(engine, cirs, batch):
+    """``engine`` over ``cirs`` in consecutive groups of ``batch``."""
+    return [
+        row
+        for start in range(0, len(cirs), batch)
+        for row in engine(
+            cirs[start:start + batch],
+            _TABLE1_BANK,
+            TS,
+            _TABLE1_CONFIG,
+            noise_std=_TABLE1_NOISE,
+        )
+    ]
 
 
 def _assert_responses_close(got, want):
@@ -149,6 +207,18 @@ class TestSearchEnginesAgree:
         assert len(batched) == batch
         for got, want in zip(batched, serial):
             _assert_responses_close(got, want)
+
+    def test_table1_batches_match_per_cir(self):
+        cirs = _table1_cirs()
+        detector = SearchAndSubtract(_TABLE1_BANK, _TABLE1_CONFIG)
+        serial = [
+            detector.detect(cir, TS, noise_std=_TABLE1_NOISE) for cir in cirs
+        ]
+        for batch in (1, 8, 64):
+            batched = _in_batches(detect_batch, cirs, batch)
+            assert len(batched) == len(serial)
+            for got, want in zip(batched, serial):
+                _assert_responses_close(got, want)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), length=st.sampled_from(_LENGTHS))
@@ -407,6 +477,19 @@ class TestClassifierEnginesAgree:
         assert len(batched) == batch
         for got, want in zip(batched, serial):
             self._assert_classified_close(got, want)
+
+    def test_table1_batches_match_per_cir(self):
+        cirs = _table1_cirs()
+        classifier = PulseShapeClassifier(_TABLE1_BANK, _TABLE1_CONFIG)
+        serial = [
+            classifier.classify(cir, TS, noise_std=_TABLE1_NOISE)
+            for cir in cirs
+        ]
+        for batch in (1, 8, 64):
+            batched = _in_batches(classify_batch, cirs, batch)
+            assert len(batched) == len(serial)
+            for got, want in zip(batched, serial):
+                self._assert_classified_close(got, want)
 
     @staticmethod
     def _assert_classified_close(got, want):
@@ -689,3 +772,77 @@ class TestEngineTimers:
 
         for (prefix, _stage), delta in self._passes(run).items():
             assert delta == (2 if prefix == "detector" else 0)
+
+
+class TestBatchSpeedup:
+    """A warm B=64 pass beats the per-CIR loop on the Table I shape.
+
+    Each of ``PAIRS`` pairs times both passes back to back, alternating
+    which runs first, so host load hits both sides of a pair alike; the
+    test judges the median pair ratio.
+    """
+
+    PAIRS = 5
+
+    #: Floor for the median per-CIR / B=64 time ratio, both engines.
+    #: Fifteen 5-pair runs, each in its own process on a shared 2-core
+    #: host, read medians of 1.66-2.12 (detect) and 1.75-2.37
+    #: (classify), with single pairs down to 1.08; a per-row loop in
+    #: place of ``detect_batch`` reads 0.85.
+    MIN_MEDIAN_SPEEDUP = 1.4
+
+    @pytest.mark.parametrize(
+        "engine_type, method, batch_engine",
+        [
+            (SearchAndSubtract, "detect", detect_batch),
+            (PulseShapeClassifier, "classify", classify_batch),
+        ],
+        ids=["detect", "classify"],
+    )
+    def test_b64_beats_per_cir_loop(self, engine_type, method, batch_engine):
+        cirs = _table1_cirs()
+        call = getattr(engine_type(_TABLE1_BANK, _TABLE1_CONFIG), method)
+
+        def per_cir():
+            for cir in cirs:
+                call(cir, TS, noise_std=_TABLE1_NOISE)
+
+        def batched():
+            _in_batches(batch_engine, cirs, 64)
+
+        per_cir()  # warm both plans before timing
+        batched()
+        ratios = []
+        for pair in range(self.PAIRS):
+            elapsed = {}
+            order = (per_cir, batched) if pair % 2 == 0 else (batched, per_cir)
+            for run in order:
+                start = time.perf_counter()
+                run()
+                elapsed[run] = time.perf_counter() - start
+            ratios.append(elapsed[per_cir] / elapsed[batched])
+        assert statistics.median(ratios) > self.MIN_MEDIAN_SPEEDUP, ratios
+
+
+def _plan_reuse_trial(rng, index):
+    """One Table I-shaped detect; runs inside a pool worker."""
+    detector = SearchAndSubtract(_TABLE1_BANK, _TABLE1_CONFIG)
+    cir = _table1_cirs()[index]
+    return len(detector.detect(cir, TS, noise_std=_TABLE1_NOISE))
+
+
+class TestWorkerPlanReuse:
+    def test_each_worker_builds_the_plan_once(self):
+        """From cold caches, 60 detects on 2 workers miss at most once
+        per worker; every other lookup is a hit (worker-side counts
+        travel back as cache deltas)."""
+        clear_all_caches()
+        metrics = MetricsRegistry()
+        report = run_trials(
+            _plan_reuse_trial, 60, seed=2018, workers=2, metrics=metrics
+        )
+        assert report.run.fallback_reason is None
+        hits = metrics.counter("cache.detector_plans.hits").value
+        misses = metrics.counter("cache.detector_plans.misses").value
+        assert 1 <= misses <= 2
+        assert hits == 60 - misses

@@ -421,6 +421,45 @@ class TestAccounting:
         )
         assert terminal == accepted
 
+    def test_non_drain_stop_wins_race_with_arriving_request(self):
+        """A request that wakes a waiting fill in the same loop turn as
+        ``stop(drain=False)`` cancels the shard loop must not keep the
+        fill (and so ``stop``) alive until the batch deadline."""
+
+        async def scenario():
+            service = RangingService.build(
+                ServeConfig(
+                    engine=_engine(),
+                    n_shards=1,
+                    batch_size=8,
+                    max_batch_delay_s=5.0,
+                    default_deadline_s=None,
+                ),
+            )
+            await service.start()
+            requests = _requests(POOL[:2])
+            first = service.enqueue(requests[0])
+            await asyncio.sleep(0.05)  # the shard loop now waits in fill
+            second = service.enqueue(requests[1])  # wakes the getter
+            stop = asyncio.ensure_future(service.stop(drain=False))
+            done, _ = await asyncio.wait((stop,), timeout=2.0)
+            if not done:
+                stop.cancel()
+                await asyncio.gather(stop, return_exceptions=True)
+            results = await asyncio.gather(first, second)
+            return bool(done), results, service
+
+        stopped_in_time, results, service = asyncio.run(scenario())
+        assert stopped_in_time, "stop(drain=False) did not return in 2 s"
+        assert [r.status for r in results] == ["cancelled", "cancelled"]
+        assert service.pending == 0
+        metrics = service.metrics
+        terminal = sum(
+            metrics.counter(f"serve.{status}").value
+            for status in ("completed", "shed", "cancelled", "errors")
+        )
+        assert terminal == metrics.counter("serve.accepted").value == 2
+
     def test_caller_cancellation_is_accounted(self):
         async def scenario():
             service = RangingService.build(

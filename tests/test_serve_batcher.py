@@ -9,9 +9,10 @@ integers and pin down the three contracts the service builds on:
 2. **Deadline monotonicity** — a flush happens no later than
    ``max_delay_s`` (plus scheduling slack) after its first item, and
    only short batches may flush for cause ``"deadline"``.
-3. **Cancellation safety** — a ``fill`` cancelled mid-gather leaves
-   every consumed item reachable via the ``into`` out-parameter: items
-   in ``into`` plus items still queued equal items enqueued.
+3. **Cancellation safety** — a ``fill`` cancelled mid-gather raises
+   ``CancelledError`` at once, even when an item raced the cancel, and
+   leaves every consumed item reachable via the ``into`` out-parameter:
+   items in ``into`` plus items still queued equal items enqueued.
 """
 
 import asyncio
@@ -150,7 +151,9 @@ class TestCancellationSafety:
     )
     @settings(max_examples=25, deadline=None)
     def test_cancelled_fill_loses_nothing(self, n_ready, n_late):
-        """items(into) + items(queue) == items(enqueued), no duplicates."""
+        """items(into) + items(queue) == items(enqueued), no duplicates,
+        and the cancel wins even when a late item wakes the getter in
+        the same loop turn."""
 
         async def scenario():
             queue = asyncio.Queue()
@@ -165,16 +168,22 @@ class TestCancellationSafety:
             for item in range(n_ready, n_ready + n_late):
                 queue.put_nowait(item)
             task.cancel()
+            loop = asyncio.get_running_loop()
+            cancelled_at = loop.time()
             try:
                 await task
+                raised = False
             except asyncio.CancelledError:
-                pass
+                raised = True
+            elapsed = loop.time() - cancelled_at
             left = []
             while not queue.empty():
                 left.append(queue.get_nowait())
-            return held, left
+            return held, left, raised, elapsed
 
-        held, left = _drive(scenario())
+        held, left, raised, elapsed = _drive(scenario())
+        assert raised, "a cancelled fill returned a batch instead"
+        assert elapsed < 1.0
         assert sorted(held + left) == list(range(n_ready + n_late))
         assert held == sorted(held)  # consumed prefix stays ordered
 

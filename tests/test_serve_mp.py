@@ -21,6 +21,9 @@ The acceptance claims pinned here:
 * **Live swarm ingest** — a :class:`SwarmScenario` round-tripped
   through a multi-process :class:`RangingClient` yields a result digest
   byte-identical to the offline replayed-pool path.
+* **Fleet speedup** — on hosts with at least 4 cores, 4 workers
+  sustain at least twice the single-process deployment's throughput
+  under the same saturating replay (paired, interleaved runs).
 
 Coroutines are driven with ``asyncio.run`` from sync tests (no
 pytest-asyncio dependency); multi-process cases fork real workers, so
@@ -28,11 +31,15 @@ this module is a touch slower than the in-process suite.
 """
 
 import asyncio
+import os
+import statistics
+import time
 
 import numpy as np
 import pytest
 
 from repro.constants import CIR_SAMPLING_PERIOD_S
+from repro.core.batch import detect_batch
 from repro.core.batch_id import classify_batch
 from repro.core.detection import SearchAndSubtractConfig
 from repro.netsim.swarm import SwarmConfig, SwarmScenario
@@ -52,7 +59,7 @@ from repro.serve import (
     SessionRateLimiter,
     TERMINAL_STATUSES,
 )
-from repro.serve.loadgen import synthetic_pool
+from repro.serve.loadgen import LoadgenConfig, run_load, synthetic_pool
 from repro.signal.templates import TemplateBank
 
 TS = CIR_SAMPLING_PERIOD_S
@@ -424,3 +431,66 @@ class TestMultiProcess:
             live = live_scenario.run(4, service=client)
         assert live.digest() == offline.digest()
         assert live.rounds == offline.rounds
+
+
+class TestFleetSpeedup:
+    WORKERS = 4
+    MIN_SPEEDUP = 2.0
+    PAIRS = 3
+
+    @pytest.mark.skipif(
+        (os.cpu_count() or 1) < 4,
+        reason="forked workers cannot outrun one process below 4 cores",
+    )
+    def test_four_workers_double_one_process(self):
+        """Paired replays alternate which deployment runs first; the
+        median fleet / single-process ok-throughput ratio must reach
+        ``MIN_SPEEDUP``.  The offered rate is ``WORKERS`` times the
+        offline single-thread engine rate, so the load does not cap the
+        fleet below its speedup; sessions behind schedule keep sending
+        until the scheduled count is out, so each replay serves about
+        ``2 x offline`` requests and lasts as long as that takes."""
+        bank = TemplateBank.paper_bank(3)
+        pool = synthetic_pool(bank, pool_size=32, cir_length=257, seed=2018)
+        stack = np.stack([cir for cir, _ in pool])
+        stds = [noise_std for _, noise_std in pool]
+
+        def offline_pass():
+            for start in range(0, len(pool), 16):
+                detect_batch(
+                    stack[start:start + 16], bank, TS, config=CONFIG,
+                    noise_std=stds[start:start + 16],
+                )
+
+        offline_pass()  # builds the plans
+        started = time.perf_counter()
+        for _ in range(4):
+            offline_pass()
+        offline_rps = 4 * len(pool) / (time.perf_counter() - started)
+        load = LoadgenConfig(
+            sessions=32, rate=self.WORKERS * offline_rps, duration_s=0.5,
+            seed=1,
+        )
+        engine = EngineConfig(
+            bank, TS, mode="detect", config=CONFIG, cir_length=257
+        )
+
+        async def replay(workers):
+            config = _mp_config(
+                batch_size=16,
+                max_batch_delay_s=0.005,
+                queue_depth=128,
+                engine=engine,
+                workers=workers,
+            )
+            async with AsyncRangingClient(config) as client:
+                report = await run_load(client, pool, load)
+            assert report.accounting_ok, report.as_dict()
+            return report.ok / report.duration_s
+
+        ratios = []
+        for pair in range(self.PAIRS):
+            order = (0, self.WORKERS) if pair % 2 == 0 else (self.WORKERS, 0)
+            rps = {workers: asyncio.run(replay(workers)) for workers in order}
+            ratios.append(rps[self.WORKERS] / rps[0])
+        assert statistics.median(ratios) >= self.MIN_SPEEDUP, ratios

@@ -73,6 +73,19 @@ class TestShardInvariance:
         assert a.track_errors_m == b.track_errors_m
         assert a.coverage == b.coverage
 
+    def test_city_scale_shards_agree(self):
+        """The Sect. VIII sweep's 500-responder point, full scheme: one
+        shard and four give one digest, and the rounds identify."""
+        from repro.experiments.swarm_scale import swarm_config
+
+        runs = {
+            shards: SwarmScenario(swarm_config(500), seed=71, shards=shards)
+            .run(2)
+            for shards in (1, 4)
+        }
+        assert runs[1].digest() == runs[4].digest()
+        assert runs[1].identified > 0
+
 
 class TestBatchedEqualsSerial:
     """``batch_size=1`` runs every round as its own batch of one — what
