@@ -10,26 +10,39 @@ the diffuse multipath.  :class:`ChannelRealization` holds one concrete
 set of taps and can *render* the band-limited waveform a receiver sees
 when a given pulse is transmitted through it — which is exactly the
 physical signal the DW1000's CIR accumulator estimates.
+
+A realization stores its taps as four parallel arrays, stable-sorted by
+delay once at construction: delays (``float``), complex amplitudes,
+kinds (indices into :data:`TAP_KINDS`) and reflection orders.
+A render is one batched placement
+(:func:`repro.signal.sampling.place_pulses`): every tap's fractional
+shift in one FFT pair, then one scatter in tap order, byte-equal to
+placing the taps one by one.  The stochastic generators build those
+arrays directly (:meth:`ChannelRealization.from_arrays`);
+:class:`ChannelTap` objects exist only where a caller asks for them
+(``taps``, iteration, indexing and the tap-valued queries).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
 from repro.signal.pulses import Pulse
-from repro.signal.sampling import place_pulse
+from repro.signal.sampling import place_pulses
 
 #: Default exponential decay constant of the diffuse tail [ns].  Kulmer et
 #: al. (paper ref. [8]) report diffuse decay constants of ~20 ns for the
 #: office environments the paper measures in.
 DIFFUSE_DECAY_NS = 20.0
 
-#: Valid tap kinds, ordered roughly by determinism.
+#: Valid tap kinds, ordered roughly by determinism.  A realization
+#: stores each tap's kind as its index in this tuple.
 TAP_KINDS = ("los", "reflection", "diffuse")
+KIND_LOS, KIND_REFLECTION, KIND_DIFFUSE = range(len(TAP_KINDS))
 
 
 @dataclass(frozen=True)
@@ -95,61 +108,117 @@ class ChannelTap:
 
 
 class ChannelRealization:
-    """A concrete channel: an ordered collection of taps.
+    """A concrete channel: its taps as delay-sorted parallel arrays.
 
-    Taps are kept sorted by delay.  The realization is immutable from the
+    Taps are stable-sorted by delay, so taps with equal delays keep the
+    order they were given in.  The realization is immutable from the
     outside; composition helpers return new instances.
     """
 
     def __init__(self, taps: Iterable[ChannelTap]) -> None:
-        self._taps: tuple[ChannelTap, ...] = tuple(
-            sorted(taps, key=lambda tap: tap.delay_s)
+        taps = tuple(taps)
+        self._store(
+            [tap.delay_s for tap in taps],
+            [tap.amplitude for tap in taps],
+            [TAP_KINDS.index(tap.kind) for tap in taps],
+            [tap.order for tap in taps],
         )
-        if len(self._taps) == 0:
+
+    @classmethod
+    def from_arrays(cls, delays_s, amplitudes, kinds, orders) -> "ChannelRealization":
+        """A realization from parallel per-tap arrays, in any order.
+
+        ``kinds`` holds indices into :data:`TAP_KINDS`.  The rules of
+        :class:`ChannelTap` hold for every tap: a non-negative delay, a
+        known kind and an order >= 0; a realization needs at least one
+        tap.
+        """
+        channel = cls.__new__(cls)
+        channel._store(delays_s, amplitudes, kinds, orders)
+        return channel
+
+    def _store(self, delays_s, amplitudes, kinds, orders) -> None:
+        delays = np.asarray(delays_s, dtype=float)
+        amplitudes = np.asarray(amplitudes, dtype=complex)
+        kinds = np.asarray(kinds, dtype=np.int64)
+        orders = np.asarray(orders, dtype=np.int64)
+        if delays.ndim != 1 or not (
+            delays.shape == amplitudes.shape == kinds.shape == orders.shape
+        ):
+            raise ValueError(
+                "delays, amplitudes, kinds and orders must be 1-D arrays of "
+                "one length"
+            )
+        if delays.shape[0] == 0:
             raise ValueError("a channel realization needs at least one tap")
+        if (delays < 0).any():
+            raise ValueError(f"tap delay must be non-negative, got {delays.min()}")
+        if ((kinds < 0) | (kinds >= len(TAP_KINDS))).any():
+            raise ValueError(f"unknown tap kind index; use indices into {TAP_KINDS}")
+        if (orders < 0).any():
+            raise ValueError(f"reflection order must be >= 0, got {orders.min()}")
+        order = np.argsort(delays, kind="stable")
+        self._delays = delays[order]
+        self._amplitudes = amplitudes[order]
+        self._kinds = kinds[order]
+        self._orders = orders[order]
+
+    def _tap(self, index: int) -> ChannelTap:
+        return ChannelTap(
+            delay_s=float(self._delays[index]),
+            amplitude=complex(self._amplitudes[index]),
+            kind=TAP_KINDS[self._kinds[index]],
+            order=int(self._orders[index]),
+        )
+
+    def _powers(self) -> List[float]:
+        """Tap powers as :attr:`ChannelTap.power` computes them: Python's
+        complex ``abs`` and numpy's differ in the last bit."""
+        return [abs(amplitude) ** 2 for amplitude in self._amplitudes.tolist()]
 
     # -- container protocol ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._taps)
+        return self._delays.shape[0]
 
     def __iter__(self):
-        return iter(self._taps)
+        return iter(self.taps)
 
-    def __getitem__(self, index: int) -> ChannelTap:
-        return self._taps[index]
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.taps[index]
+        return self._tap(range(len(self))[index])
 
     @property
-    def taps(self) -> tuple[ChannelTap, ...]:
-        return self._taps
+    def taps(self) -> Tuple[ChannelTap, ...]:
+        """The taps in delay order, built on each access."""
+        return tuple(self._tap(index) for index in range(len(self)))
 
     # -- structural queries ---------------------------------------------------
 
     @property
     def first_path(self) -> ChannelTap:
         """The earliest tap (the direct path when LOS exists)."""
-        return self._taps[0]
+        return self._tap(0)
 
     @property
     def los_tap(self) -> ChannelTap | None:
         """The LOS tap, or ``None`` for NLOS channels."""
-        for tap in self._taps:
-            if tap.kind == "los":
-                return tap
-        return None
+        los = np.flatnonzero(self._kinds == KIND_LOS)
+        return self._tap(los[0]) if los.size else None
 
     @property
     def strongest_tap(self) -> ChannelTap:
         """The tap with the highest power.  In NLOS conditions this can be
         a reflection rather than the first path — the exact situation the
         paper's challenge IV warns about."""
-        return max(self._taps, key=lambda tap: tap.power)
+        return self._tap(int(np.argmax(self._powers())))
 
     @property
     def delay_spread_s(self) -> float:
         """RMS delay spread of the deterministic taps."""
-        delays = np.array([tap.delay_s for tap in self._taps])
-        powers = np.array([tap.power for tap in self._taps])
+        delays = self._delays
+        powers = np.array(self._powers())
         total = powers.sum()
         if total == 0:
             return 0.0
@@ -159,42 +228,59 @@ class ChannelRealization:
     @property
     def excess_delay_s(self) -> float:
         """Maximum excess delay: last tap minus first tap."""
-        return self._taps[-1].delay_s - self._taps[0].delay_s
+        return float(self._delays[-1] - self._delays[0])
 
     def total_power(self) -> float:
-        return float(sum(tap.power for tap in self._taps))
+        return float(sum(self._powers()))
 
     def specular_taps(self) -> List[ChannelTap]:
-        return [tap for tap in self._taps if tap.kind != "diffuse"]
+        return [
+            self._tap(index)
+            for index in np.flatnonzero(self._kinds != KIND_DIFFUSE)
+        ]
 
     # -- composition ----------------------------------------------------------
 
     def delayed(self, extra_delay_s: float) -> "ChannelRealization":
         """All taps shifted by a constant delay."""
-        return ChannelRealization(tap.delayed(extra_delay_s) for tap in self._taps)
+        return ChannelRealization.from_arrays(
+            self._delays + extra_delay_s, self._amplitudes, self._kinds,
+            self._orders,
+        )
 
     def scaled(self, factor: complex) -> "ChannelRealization":
         """All taps scaled by a constant complex factor."""
-        return ChannelRealization(tap.scaled(factor) for tap in self._taps)
+        return ChannelRealization.from_arrays(
+            self._delays, self._amplitudes * factor, self._kinds, self._orders
+        )
 
     def merged(self, other: "ChannelRealization") -> "ChannelRealization":
         """Union of two realizations (e.g. two responders' signals
         superposing at the initiator)."""
-        return ChannelRealization(list(self._taps) + list(other._taps))
+        return ChannelRealization.from_arrays(
+            np.concatenate([self._delays, other._delays]),
+            np.concatenate([self._amplitudes, other._amplitudes]),
+            np.concatenate([self._kinds, other._kinds]),
+            np.concatenate([self._orders, other._orders]),
+        )
 
     def without_los(self, attenuation: float = 0.0) -> "ChannelRealization":
         """An NLOS variant: the LOS tap is removed (``attenuation == 0``)
         or attenuated to ``attenuation`` times its amplitude."""
-        taps = []
-        for tap in self._taps:
-            if tap.kind == "los":
-                if attenuation > 0.0:
-                    taps.append(tap.scaled(attenuation))
-            else:
-                taps.append(tap)
-        if not taps:
+        los = self._kinds == KIND_LOS
+        if attenuation > 0.0:
+            amplitudes = self._amplitudes.copy()
+            amplitudes[los] *= attenuation
+            return ChannelRealization.from_arrays(
+                self._delays, amplitudes, self._kinds, self._orders
+            )
+        keep = ~los
+        if not keep.any():
             raise ValueError("removing the LOS tap left no channel taps")
-        return ChannelRealization(taps)
+        return ChannelRealization.from_arrays(
+            self._delays[keep], self._amplitudes[keep], self._kinds[keep],
+            self._orders[keep],
+        )
 
     # -- rendering ------------------------------------------------------------
 
@@ -216,16 +302,43 @@ class ChannelRealization:
         if sampling_period_s is None:
             sampling_period_s = pulse.sampling_period_s
         buffer = np.zeros(n_samples, dtype=complex)
-        for tap in self._taps:
-            position = (tap.delay_s - time_origin_s) / sampling_period_s
-            place_pulse(
-                buffer,
-                pulse.samples,
-                position,
-                amplitude=tap.amplitude,
-                peak_index=pulse.peak_index,
-            )
+        place_pulses(
+            buffer,
+            pulse.samples,
+            (self._delays - time_origin_s) / sampling_period_s,
+            self._amplitudes,
+            peak_index=pulse.peak_index,
+        )
         return buffer
+
+
+def diffuse_tail(
+    onset_delay_s: float,
+    total_power: float,
+    rng: np.random.Generator,
+    decay_ns: float = DIFFUSE_DECAY_NS,
+    tap_spacing_ns: float = 1.0,
+    duration_ns: float = 80.0,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Draw the diffuse multipath ``nu(t)`` as dense Rayleigh taps.
+
+    Power decays exponentially after ``onset_delay_s`` with time constant
+    ``decay_ns``; each tap has Rayleigh amplitude and uniform phase.  The
+    sum of expected tap powers equals ``total_power``.  Returns the tap
+    delays and complex amplitudes (both empty when ``total_power`` is 0).
+    """
+    if total_power < 0:
+        raise ValueError(f"diffuse power must be non-negative, got {total_power}")
+    if total_power == 0:
+        return np.empty(0), np.empty(0, dtype=complex)
+    n_taps = max(1, int(duration_ns / tap_spacing_ns))
+    offsets_ns = (np.arange(n_taps) + 0.5) * tap_spacing_ns
+    profile = np.exp(-offsets_ns / decay_ns)
+    profile = profile / profile.sum() * total_power
+    amplitudes = np.sqrt(profile / 2.0) * (
+        rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps)
+    )
+    return onset_delay_s + offsets_ns * 1e-9, amplitudes
 
 
 def diffuse_tail_taps(
@@ -236,29 +349,11 @@ def diffuse_tail_taps(
     tap_spacing_ns: float = 1.0,
     duration_ns: float = 80.0,
 ) -> List[ChannelTap]:
-    """Generate the diffuse multipath ``nu(t)`` as dense Rayleigh taps.
-
-    Power decays exponentially after ``onset_delay_s`` with time constant
-    ``decay_ns``; each tap has Rayleigh amplitude and uniform phase.  The
-    sum of expected tap powers equals ``total_power``.
-    """
-    if total_power < 0:
-        raise ValueError(f"diffuse power must be non-negative, got {total_power}")
-    if total_power == 0:
-        return []
-    n_taps = max(1, int(duration_ns / tap_spacing_ns))
-    offsets_ns = (np.arange(n_taps) + 0.5) * tap_spacing_ns
-    profile = np.exp(-offsets_ns / decay_ns)
-    profile = profile / profile.sum() * total_power
-    amplitudes = np.sqrt(profile / 2.0) * (
-        rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps)
+    """:func:`diffuse_tail` as a list of ``"diffuse"`` taps of order 2."""
+    delays, amplitudes = diffuse_tail(
+        onset_delay_s, total_power, rng, decay_ns, tap_spacing_ns, duration_ns
     )
     return [
-        ChannelTap(
-            delay_s=onset_delay_s + offsets_ns[i] * 1e-9,
-            amplitude=complex(amplitudes[i]),
-            kind="diffuse",
-            order=2,
-        )
-        for i in range(n_taps)
+        ChannelTap(delay_s=delay, amplitude=amplitude, kind="diffuse", order=2)
+        for delay, amplitude in zip(delays.tolist(), amplitudes.tolist())
     ]

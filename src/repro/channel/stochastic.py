@@ -17,15 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List
-
 import numpy as np
 
 from repro.channel.cir import (
     ChannelRealization,
-    ChannelTap,
     DIFFUSE_DECAY_NS,
-    diffuse_tail_taps,
+    KIND_DIFFUSE,
+    KIND_LOS,
+    KIND_REFLECTION,
+    diffuse_tail,
 )
 from repro.channel.propagation import PathLossModel, propagation_delay_s
 from repro.channel.geometry import CHANNEL7_CARRIER_HZ
@@ -71,34 +71,32 @@ class SalehValenzuelaModel:
         base_delay = propagation_delay_s(distance_m)
         link_gain = path_loss.sample_amplitude_gain(distance_m, rng)
 
-        taps: List[ChannelTap] = []
+        delays = []
+        amplitudes = []
         cluster_start_ns = 0.0
-        first = True
         while cluster_start_ns < self.max_excess_delay_ns:
             cluster_power = math.exp(-cluster_start_ns / self.cluster_decay_ns)
             ray_ns = 0.0
             while cluster_start_ns + ray_ns < self.max_excess_delay_ns:
                 mean_power = cluster_power * math.exp(-ray_ns / self.ray_decay_ns)
                 # Rayleigh amplitude around the exponential mean power.
-                amplitude = math.sqrt(
-                    rng.exponential(mean_power)
-                ) * _random_phasor(rng)
-                kind = "los" if first else "reflection"
-                taps.append(
-                    ChannelTap(
-                        delay_s=base_delay + (cluster_start_ns + ray_ns) * 1e-9,
-                        amplitude=amplitude,
-                        kind=kind,
-                        order=0 if first else 1,
-                    )
+                amplitudes.append(
+                    math.sqrt(rng.exponential(mean_power)) * _random_phasor(rng)
                 )
-                first = False
+                delays.append(base_delay + (cluster_start_ns + ray_ns) * 1e-9)
                 ray_ns += rng.exponential(1.0 / self.ray_rate_per_ns)
             cluster_start_ns += rng.exponential(1.0 / self.cluster_rate_per_ns)
 
-        total = math.sqrt(sum(tap.power for tap in taps))
+        total = math.sqrt(sum(abs(amplitude) ** 2 for amplitude in amplitudes))
         scale = link_gain / total if total > 0 else 0.0
-        return ChannelRealization(tap.scaled(scale) for tap in taps)
+        # The first ray of the first cluster is the direct path.
+        kinds = np.full(len(delays), KIND_REFLECTION)
+        kinds[:1] = KIND_LOS
+        orders = np.ones(len(delays), dtype=np.int64)
+        orders[:1] = 0
+        return ChannelRealization.from_arrays(
+            delays, np.asarray(amplitudes, dtype=complex) * scale, kinds, orders
+        )
 
 
 @dataclass
@@ -198,46 +196,40 @@ class IndoorEnvironment:
         los_power = k_linear / (1.0 + k_linear)
         reflections_power = 1.0 / (1.0 + k_linear)
 
-        taps: List[ChannelTap] = [
-            ChannelTap(
-                delay_s=base_delay,
-                amplitude=math.sqrt(los_power)
-                * self.los_attenuation
-                * link_gain
-                * _random_phasor(rng),
-                kind="los",
-                order=0,
-            )
-        ]
+        los_amplitude = (
+            math.sqrt(los_power)
+            * self.los_attenuation
+            * link_gain
+            * _random_phasor(rng)
+        )
 
-        if self.n_reflections > 0:
-            excess = np.sort(
-                rng.exponential(self.reflection_excess_ns, self.n_reflections)
-            )
-            # Earlier reflections carry more power: exponential split.
-            weights = np.exp(-excess / max(self.reflection_excess_ns, 1e-9))
-            weights = weights / weights.sum() * reflections_power
-            for excess_ns, weight in zip(excess, weights):
-                # Enforce a minimum excess so reflections never precede LOS.
-                delay = base_delay + max(float(excess_ns), 0.5) * 1e-9
-                taps.append(
-                    ChannelTap(
-                        delay_s=delay,
-                        amplitude=math.sqrt(float(weight))
-                        * link_gain
-                        * _random_phasor(rng),
-                        kind="reflection",
-                        order=1,
-                    )
-                )
+        # Draw order (one seed, one channel): the LOS phase, the excess
+        # delays, the reflection phases, then the diffuse tail.
+        n = self.n_reflections
+        excess = np.sort(rng.exponential(self.reflection_excess_ns, n))
+        # Earlier reflections carry more power: exponential split.
+        weights = np.exp(-excess / max(self.reflection_excess_ns, 1e-9))
+        weights = weights / weights.sum() * reflections_power
+        phasors = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+        # Enforce a minimum excess so reflections never precede LOS.
+        reflection_delays = base_delay + np.maximum(excess, 0.5) * 1e-9
+        reflection_amplitudes = np.sqrt(weights) * link_gain * phasors
 
         diffuse_power = self.diffuse_power_ratio * los_power * link_gain**2
-        taps.extend(
-            diffuse_tail_taps(
-                onset_delay_s=base_delay + 1e-9,
-                total_power=diffuse_power,
-                rng=rng,
-                decay_ns=self.diffuse_decay_ns,
-            )
+        tail_delays, tail_amplitudes = diffuse_tail(
+            onset_delay_s=base_delay + 1e-9,
+            total_power=diffuse_power,
+            rng=rng,
+            decay_ns=self.diffuse_decay_ns,
         )
-        return ChannelRealization(taps)
+        m = tail_delays.shape[0]
+        return ChannelRealization.from_arrays(
+            np.concatenate([[base_delay], reflection_delays, tail_delays]),
+            np.concatenate(
+                [[los_amplitude], reflection_amplitudes, tail_amplitudes]
+            ),
+            np.repeat(
+                [KIND_LOS, KIND_REFLECTION, KIND_DIFFUSE], [1, n, m]
+            ),
+            np.repeat([0, 1, 2], [1, n, m]),
+        )

@@ -13,11 +13,12 @@ CIR in a Python loop:
 * **template subtraction** — fractional, unclipped placements (the
   common case under sub-sample refinement) are grouped per template and
   updated with *batched* small FFTs: one fractional-delay ifft over the
-  group, one ``(R, m)`` forward FFT, one ``(R, n_templates, m)``
-  inverse FFT — instead of R separate 1-D transform chains.  The
-  per-group forward FFT of the zero-padded template is computed once
-  per call.  Integer unclipped placements read the plan's precomputed
-  cross-correlation table directly; clipped placements fall back to
+  group (:func:`repro.signal.sampling.delayed_rows`), one ``(R, m)``
+  forward FFT, one ``(R, n_templates, m)`` inverse FFT — instead of R
+  separate 1-D transform chains.  The forward FFT of each zero-padded
+  template is computed once per call.  Integer unclipped placements
+  read the plan's precomputed cross-correlation table directly;
+  clipped placements fall back to
   :meth:`~repro.core.plan.DetectorPlan.subtract_response` row by row.
 
 Numerical contract: every row's decisions depend on that row alone, so
@@ -42,6 +43,7 @@ from repro.core.detection import (
 )
 from repro.core.plan import DetectorPlan
 from repro.runtime.metrics import global_metrics
+from repro.signal.sampling import delay_kernel, delayed_rows
 
 __all__ = ["extract_responses_batch"]
 
@@ -91,24 +93,15 @@ def _subtract_fractional_group(
     window correlation are the same transforms, just stacked — each row
     of a 2-D pocketfft transform runs the same kernel as the 1-D call.
     """
-    cached = template_ffts.get(template_index)
-    if cached is None:
-        template = plan.templates[template_index]
-        samples = template.samples.astype(complex)
-        padded = np.concatenate([samples, np.zeros(1, dtype=samples.dtype)])
-        # Same spectrum fractional_delay computes per call; the phase
-        # base folds fractional_delay's left-to-right ``-2j*pi*freqs``
-        # product.
-        cached = (
-            np.fft.fft(padded),
-            -2j * np.pi * np.fft.fftfreq(len(padded)),
+    kernel = template_ffts.get(template_index)
+    if kernel is None:
+        samples = plan.templates[template_index].samples.astype(complex)
+        # Padded as placed_segments pads, so a row matches its bytes.
+        kernel = delay_kernel(
+            np.concatenate([samples, np.zeros(1, dtype=samples.dtype)])
         )
-        template_ffts[template_index] = cached
-    padded_fft, ramp_base = cached
-
-    fractions = np.array([entry[1] for entry in group])
-    ramps = np.exp(ramp_base[np.newaxis, :] * fractions[:, np.newaxis])
-    shifted = np.fft.ifft(padded_fft[np.newaxis, :] * ramps, axis=1)
+        template_ffts[template_index] = kernel
+    shifted = delayed_rows(kernel, [entry[1] for entry in group])
 
     m = plan.small_fft_length
     forward = sp_fft.fft(shifted, m, axis=1)

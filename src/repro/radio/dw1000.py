@@ -40,7 +40,7 @@ from repro.radio.timebase import (
     quantize_delayed_tx_s,
     quantize_timestamp_s,
 )
-from repro.signal.pulses import Pulse, dw1000_pulse, pulse_width_factor
+from repro.signal.pulses import Pulse, pulse_width_factor
 
 #: Receiver noise floor (per-tap complex noise std) in link-gain units,
 #: at the reference preamble length PSR = 128.  Friis gain at 10 m /
@@ -277,10 +277,15 @@ class DW1000Radio:
         return self.registers.read("TC_PGDELAY")
 
     def transmit_pulse(self) -> Pulse:
-        """The pulse template currently transmitted by this radio."""
-        return dw1000_pulse(
-            self.pulse_register, sampling_period_s=self.sampling_period_s
-        )
+        """The pulse template currently transmitted by this radio.
+
+        Memoised per ``(register, sampling period)``: every responder of
+        every round transmits one of a few shapes, and synthesising one
+        costs more than rendering a channel with it.
+        """
+        from repro.runtime.cache import pulse
+
+        return pulse(self.pulse_register, self.sampling_period_s)
 
     def schedule_delayed_tx(self, local_time_s: float) -> float:
         """Program a delayed transmission; returns the *actual* local

@@ -9,6 +9,8 @@ simulated channel is synthesised.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 
@@ -103,23 +105,95 @@ def fft_upsample_batch(signals: np.ndarray, factor: int) -> np.ndarray:
     return upsampled.real if was_real else upsampled
 
 
+def delay_kernel(signal: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The spectrum and phase-ramp base :func:`delayed_rows` shifts with.
+
+    Both depend on ``signal`` alone, so a caller that shifts one signal
+    by many delays (a channel's taps, one template's subtractions over
+    a search) builds them once.
+    """
+    return np.fft.fft(signal), -2j * np.pi * np.fft.fftfreq(len(signal))
+
+
+def delayed_rows(
+    kernel: Tuple[np.ndarray, np.ndarray], delays_samples: np.ndarray
+) -> np.ndarray:
+    """The kernel's signal delayed by each of ``delays_samples`` samples.
+
+    Row ``k`` of the complex ``(len(delays_samples), n)`` result is
+    ``ifft(spectrum * exp(ramp_base * delays_samples[k]))``: a linear
+    phase ramp applied in the frequency domain, i.e. band-limited sinc
+    interpolation with circular wrap-around, in one batched inverse FFT
+    for every delay.  Each row runs the same pocketfft kernel as a 1-D
+    transform, so a row equals the delay computed on its own, byte for
+    byte.
+    """
+    spectrum, ramp_base = kernel
+    delays = np.asarray(delays_samples, dtype=float)
+    ramps = np.exp(ramp_base[np.newaxis, :] * delays[:, np.newaxis])
+    return np.fft.ifft(spectrum * ramps, axis=1)
+
+
 def fractional_delay(signal: np.ndarray, delay_samples: float) -> np.ndarray:
     """Delay a signal by a (possibly fractional) number of samples.
 
-    Implemented as a linear phase ramp in the frequency domain, i.e.
-    band-limited sinc interpolation with circular wrap-around.  Callers
-    that must avoid wrap-around should zero-pad first.
+    A batch of one of :func:`delayed_rows`: band-limited sinc
+    interpolation with circular wrap-around.  Callers that must avoid
+    wrap-around should zero-pad first.
     """
     signal = np.asarray(signal)
     if signal.ndim != 1:
         raise ValueError(f"expected a 1-D signal, got shape {signal.shape}")
-    n = len(signal)
-    was_real = np.isrealobj(signal)
-    freqs = np.fft.fftfreq(n)
-    shifted = np.fft.ifft(
-        np.fft.fft(signal) * np.exp(-2j * np.pi * freqs * delay_samples)
+    shifted = delayed_rows(delay_kernel(signal), [delay_samples])[0]
+    return shifted.real if np.isrealobj(signal) else shifted
+
+
+def placed_segments(
+    pulse_samples: np.ndarray,
+    peak_positions_samples: np.ndarray,
+    peak_index: int | None = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The buffer start, length and samples of every placement
+    :func:`place_pulses` makes.
+
+    A position's integer part selects the start; a fractional part is
+    realised by :func:`delayed_rows` on the pulse padded with one zero
+    sample, so the shift cannot wrap energy from the tail back to the
+    head.  Every fractional position of one call shares a single pulse
+    spectrum and one batched inverse FFT.  An integer position places
+    the unshifted, unpadded pulse.
+
+    Returns
+    -------
+    (starts, lengths, segments):
+        ``starts[k]`` is the buffer index of ``segments[k, 0]`` (may be
+        negative).  ``segments`` is ``(k, len(pulse) + 1)``; row ``k``
+        holds ``lengths[k]`` samples: ``len(pulse) + 1`` when the
+        position is fractional, ``len(pulse)`` (then the last column is
+        zero) when it is an integer.
+    """
+    if pulse_samples.ndim != 1:
+        raise ValueError("pulse must be a 1-D array")
+    if peak_index is None:
+        peak_index = int(np.argmax(np.abs(pulse_samples)))
+    positions = np.asarray(peak_positions_samples, dtype=float)
+    integers = np.floor(positions)
+    fractions = positions - integers
+    length = pulse_samples.shape[0]
+    segments = np.zeros(
+        (positions.shape[0], length + 1),
+        dtype=complex if np.iscomplexobj(pulse_samples) else float,
     )
-    return shifted.real if was_real else shifted
+    segments[:, :length] = pulse_samples
+    fractional = fractions != 0.0
+    if fractional.any():
+        shifted = delayed_rows(delay_kernel(segments[0]), fractions[fractional])
+        segments[fractional] = (
+            shifted.real if np.isrealobj(pulse_samples) else shifted
+        )
+    starts = integers.astype(np.int64) - peak_index
+    lengths = np.where(fractional, length + 1, length)
+    return starts, lengths, segments
 
 
 def placed_segment(
@@ -130,36 +204,86 @@ def placed_segment(
     """The integer start index and (fractionally shifted) samples that
     :func:`place_pulse` would add into a buffer.
 
-    Factoring the shift out of :func:`place_pulse` lets the detection
+    A batch of one of :func:`placed_segments`.  It lets the detection
     engine compute *exactly* the subtrahend the reference loop would
-    place — same ``fractional_delay`` call on the same padded template —
-    and correlate it against the template bank in a short window instead
-    of re-filtering the whole signal.
+    place and correlate it against the template bank in a short window
+    instead of re-filtering the whole signal.
 
     Returns
     -------
     (start, samples):
         ``start`` is the buffer index of ``samples[0]`` (may be
         negative); ``samples`` is the pulse, fractionally delayed when
-        ``peak_position_samples`` has a fractional part (one padding
-        sample is appended so the shift cannot wrap energy around).
+        ``peak_position_samples`` has a fractional part (then one
+        padding sample longer than the pulse), else ``pulse_samples``
+        itself.
     """
-    if pulse_samples.ndim != 1:
-        raise ValueError("pulse must be a 1-D array")
-    if peak_index is None:
-        peak_index = int(np.argmax(np.abs(pulse_samples)))
-    integer = int(np.floor(peak_position_samples))
-    fraction = float(peak_position_samples - integer)
-    if fraction != 0.0:
-        # Pad by one sample so the fractional shift cannot wrap energy
-        # from the tail back to the head.
-        padded = np.concatenate(
-            [pulse_samples, np.zeros(1, dtype=pulse_samples.dtype)]
+    starts, lengths, segments = placed_segments(
+        pulse_samples, [peak_position_samples], peak_index
+    )
+    if lengths[0] == len(pulse_samples):
+        return int(starts[0]), pulse_samples
+    return int(starts[0]), segments[0]
+
+
+def place_pulses(
+    buffer: np.ndarray,
+    pulse_samples: np.ndarray,
+    peak_positions_samples: np.ndarray,
+    amplitudes: np.ndarray,
+    peak_index: int | None = None,
+) -> None:
+    """Add ``amplitudes[k] * pulse`` into ``buffer`` with its peak at
+    ``peak_positions_samples[k]``, for every ``k`` (in place).
+
+    This is how the channel simulation writes a channel's multipath
+    components into the CIR: :func:`placed_segments` shifts every
+    fractional position in one batched FFT pair, then one scatter adds
+    all of them.  Parts that fall outside the buffer are clipped.  The
+    scatter runs in position order, so where placements overlap, each
+    buffer sample accumulates them in the order a loop over the
+    positions would.
+
+    Parameters
+    ----------
+    buffer:
+        1-D accumulator; modified in place.
+    pulse_samples:
+        Real or complex template samples.
+    peak_positions_samples:
+        Desired positions of the template peak, in buffer samples.  May
+        lie (partially) outside the buffer.
+    amplitudes:
+        One (complex) amplitude per position.
+    peak_index:
+        Index of the template's peak sample.  Defaults to the argmax of
+        the template magnitude.
+    """
+    if buffer.ndim != 1 or pulse_samples.ndim != 1:
+        raise ValueError("buffer and pulse must be 1-D arrays")
+    amplitudes = np.asarray(amplitudes)
+    starts, lengths, segments = placed_segments(
+        pulse_samples, peak_positions_samples, peak_index
+    )
+    if amplitudes.shape != starts.shape:
+        raise ValueError(
+            f"need one amplitude per position: {starts.shape[0]} positions, "
+            f"amplitudes of shape {amplitudes.shape}"
         )
-        shifted = fractional_delay(padded, fraction)
-    else:
-        shifted = pulse_samples
-    return integer - peak_index, shifted
+    columns = np.arange(segments.shape[1])
+    targets = starts[:, np.newaxis] + columns
+    inside = (
+        (columns < lengths[:, np.newaxis])
+        & (targets >= 0)
+        & (targets < buffer.shape[0])
+    )
+    # Boolean indexing reads row by row, so the scatter visits the
+    # placements in order.
+    np.add.at(
+        buffer,
+        targets[inside],
+        (amplitudes[:, np.newaxis] * segments)[inside],
+    )
 
 
 def place_pulse(
@@ -170,38 +294,9 @@ def place_pulse(
     peak_index: int | None = None,
 ) -> None:
     """Add ``amplitude * pulse`` into ``buffer`` with its peak at a
-    fractional sample position (in place).
-
-    This is how the channel simulation writes each multipath component /
-    responder pulse into the CIR: the integer part selects the insertion
-    window and the fractional part is realised with band-limited
-    interpolation of the template.
-
-    Parameters
-    ----------
-    buffer:
-        Complex 1-D accumulator; modified in place.
-    pulse_samples:
-        Real or complex template samples.
-    peak_position_samples:
-        Desired position of the template peak, in buffer samples.  May lie
-        (partially) outside the buffer; out-of-range parts are clipped.
-    amplitude:
-        Complex amplitude applied to the template.
-    peak_index:
-        Index of the template's peak sample.  Defaults to the argmax of
-        the template magnitude.
+    fractional sample position (in place): a batch of one of
+    :func:`place_pulses`.
     """
-    if buffer.ndim != 1 or pulse_samples.ndim != 1:
-        raise ValueError("buffer and pulse must be 1-D arrays")
-    start, shifted = placed_segment(
-        pulse_samples, peak_position_samples, peak_index
+    place_pulses(
+        buffer, pulse_samples, [peak_position_samples], [amplitude], peak_index
     )
-    stop = start + len(shifted)
-    src_start = max(0, -start)
-    src_stop = len(shifted) - max(0, stop - len(buffer))
-    if src_start >= src_stop:
-        return  # pulse lies entirely outside the buffer
-    dst_start = start + src_start
-    dst_stop = start + src_stop
-    buffer[dst_start:dst_stop] += amplitude * shifted[src_start:src_stop]

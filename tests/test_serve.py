@@ -277,7 +277,7 @@ class TestBackpressure:
                     engine=_engine(),
                     n_shards=1,
                     batch_size=64,
-                    max_batch_delay_s=5.0,
+                    max_batch_delay_s=0.01,
                     queue_depth=2,
                     retry_after_s=0.125,
                 ),
@@ -287,8 +287,10 @@ class TestBackpressure:
             error = None
             try:
                 # Synchronous enqueues never yield to the event loop, so
-                # the shard cannot drain between them: the third must
-                # bounce off the high-watermark.
+                # the shard cannot drain between them, whatever the flush
+                # delay: the third must bounce off the high-watermark.
+                # The short delay only lets the two accepted requests
+                # flush without a wait.
                 for request in _requests(POOL[:3]):
                     futures.append(service.enqueue(request))
             except ServiceOverloadedError as exc:
