@@ -20,8 +20,8 @@ A full UWB concurrent-ranging stack in pure Python:
   concurrent ranging (the paper's future-work direction).
 * :mod:`repro.analysis` — metrics and result tables.
 * :mod:`repro.experiments` — one module per paper table/figure.
-* :mod:`repro.runtime` — deterministic trial executor (serial and
-  multiprocessing), artifact caches, and runtime metrics.
+* :mod:`repro.runtime` — deterministic trial runner (in-process or on
+  a process pool), artifact caches, and runtime metrics.
 
 Quickstart::
 

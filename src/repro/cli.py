@@ -285,20 +285,12 @@ def main(argv: List[str] | None = None) -> int:
     if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
         return 2
-    if args.resume and not args.checkpoint:
-        print("--resume requires --checkpoint DIR", file=sys.stderr)
-        return 2
-    if args.checkpoint and not args.resume:
-        import os
+    from repro.runtime import checkpoint_usage_error
 
-        if os.path.isdir(args.checkpoint) and os.listdir(args.checkpoint):
-            print(
-                f"checkpoint dir {args.checkpoint!r} is not empty; pass "
-                "--resume to continue an interrupted run or choose a "
-                "fresh directory",
-                file=sys.stderr,
-            )
-            return 2
+    error = checkpoint_usage_error(args.checkpoint, args.resume)
+    if error:
+        print(error, file=sys.stderr)
+        return 2
     for name in names:
         _run_one(
             name,

@@ -200,18 +200,14 @@ class ThresholdDetector:
 
         Returns responses sorted by delay ascending, mirroring the
         search-and-subtract output format so the two detectors are
-        drop-in comparable.
+        drop-in comparable.  A batch of one of :meth:`detect_batch`.
         """
-        return self._extract(
-            self._magnitude(cir), sampling_period_s, noise_std
-        )
-
-    def _magnitude(self, cir: np.ndarray) -> np.ndarray:
-        """Upsampled magnitude of one 1-D CIR."""
         cir = np.asarray(cir, dtype=complex)
         if cir.ndim != 1:
             raise ValueError(f"expected a 1-D CIR, got shape {cir.shape}")
-        return np.abs(fft_upsample(cir, self.config.upsample_factor))
+        return self.detect_batch(
+            cir[np.newaxis], sampling_period_s, noise_std
+        )[0]
 
     def detect_batch(
         self,
@@ -224,9 +220,8 @@ class ThresholdDetector:
         ``noise_std`` may be a scalar or a length-B sequence.  Entry
         ``b`` of the result equals
         ``self.detect(cirs[b], sampling_period_s, noise_std[b])`` — the
-        scan itself is per-trial and identical; only the upsampling
-        transform is batched (and agrees with the serial one to
-        roundoff; byte-identical on pocketfft builds).
+        scan itself is per-trial; only the upsampling transform is
+        batched, and its rows are byte-identical to 1-D transforms.
         """
         cirs = np.asarray(cirs, dtype=complex)
         if cirs.ndim != 2:
@@ -259,7 +254,8 @@ def detect_threshold_reference(
     """``ThresholdDetector(pulse, config).detect(...)`` with the oracle's
     :func:`reference_scan` in place of the incremental engine."""
     detector = ThresholdDetector(pulse, config)
+    cir = np.asarray(cir, dtype=complex)
+    magnitude = np.abs(fft_upsample(cir, detector.config.upsample_factor))
     return detector._extract(
-        detector._magnitude(cir), sampling_period_s, noise_std,
-        scan=reference_scan,
+        magnitude, sampling_period_s, noise_std, scan=reference_scan
     )

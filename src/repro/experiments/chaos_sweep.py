@@ -52,7 +52,12 @@ from repro.netsim.medium import Medium
 from repro.netsim.node import Node
 from repro.protocol.campaign import RangingCampaign, ResiliencePolicy
 from repro.protocol.concurrent import ConcurrentRangingSession
-from repro.runtime import MetricsRegistry, run_trials, template_bank
+from repro.runtime import (
+    MetricsRegistry,
+    checkpoint_usage_error,
+    run_trials,
+    template_bank,
+)
 
 #: The Fig. 4 layout the sweep stresses.
 DISTANCES_M = (3.0, 6.0, 10.0)
@@ -300,29 +305,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="with --checkpoint: reuse checkpoints from a previous "
-        "(possibly interrupted) sweep instead of clearing them",
+        help="with --checkpoint: continue a previous (possibly "
+        "interrupted) sweep from the checkpoints in DIR",
     )
     args = parser.parse_args(argv)
-    if args.resume and not args.checkpoint:
-        parser.error("--resume requires --checkpoint DIR")
+    error = checkpoint_usage_error(args.checkpoint, args.resume)
+    if error:
+        parser.error(error)
 
     intensities = (0.0, 0.5, 1.0) if args.quick else INTENSITIES
     trials = min(args.trials, 4) if args.quick else args.trials
     rounds = min(args.rounds, 3) if args.quick else args.rounds
-
-    if args.checkpoint and not args.resume:
-        # Fresh sweep: stale shards from older runs of the same
-        # configuration would otherwise short-circuit the trials.
-        from repro.runtime import CheckpointStore
-
-        for intensity in intensities:
-            CheckpointStore.for_run(
-                args.checkpoint,
-                (args.seed, int(round(1000 * intensity))),
-                trials,
-                label=f"chaos-{intensity:.2f}",
-            ).clear()
 
     metrics = MetricsRegistry()
     result = run(

@@ -64,7 +64,12 @@ from repro.protocol.defense import (
     DefensePlan,
     TimeHoppingConfig,
 )
-from repro.runtime import MetricsRegistry, run_trials, template_bank
+from repro.runtime import (
+    MetricsRegistry,
+    checkpoint_usage_error,
+    run_trials,
+    template_bank,
+)
 
 #: The Fig. 4 layout the study attacks.
 DISTANCES_M = (3.0, 6.0, 10.0)
@@ -443,29 +448,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="with --checkpoint: reuse checkpoints from a previous "
-        "(possibly interrupted) run instead of clearing them",
+        help="with --checkpoint: continue a previous (possibly "
+        "interrupted) run from the checkpoints in DIR",
     )
     args = parser.parse_args(argv)
-    if args.resume and not args.checkpoint:
-        parser.error("--resume requires --checkpoint DIR")
+    error = checkpoint_usage_error(args.checkpoint, args.resume)
+    if error:
+        parser.error(error)
 
     intensities = (1.0,) if args.quick else INTENSITIES
     trials = min(args.trials, 4) if args.quick else args.trials
     rounds = min(args.rounds, 6) if args.quick else args.rounds
-
-    if args.checkpoint and not args.resume:
-        # Fresh grid: stale shards from older runs of the same
-        # configuration would otherwise short-circuit the trials.
-        from repro.runtime import CheckpointStore
-
-        for attacker, intensity, defended in _grid(ATTACKERS, intensities):
-            CheckpointStore.for_run(
-                args.checkpoint,
-                _cell_seed(args.seed, attacker, intensity, defended),
-                trials,
-                label=_cell_label(attacker, intensity, defended),
-            ).clear()
 
     metrics = MetricsRegistry()
     result = run(

@@ -34,6 +34,9 @@ Run from the shell::
 
     python -m repro.experiments.swarm_scale --quick --check
     python -m repro.experiments.swarm_scale --epochs 10 --workers 4
+
+A checkpointed, resumable sweep runs through the experiments CLI:
+``python -m repro run swarm --checkpoint DIR [--resume]``.
 """
 
 from __future__ import annotations
@@ -307,10 +310,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--check", action="store_true",
         help="exit non-zero unless the acceptance gate passes",
     )
-    parser.add_argument(
-        "--checkpoint", default=None, metavar="DIR",
-        help="persist per-count checkpoints to DIR as the sweep runs",
-    )
     args = parser.parse_args(argv)
 
     counts = tuple(args.counts) if args.counts else RESPONDER_COUNTS
@@ -327,7 +326,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metrics=metrics,
         counts=counts,
         shards=args.shards,
-        checkpoint=args.checkpoint,
     )
     result.print()
     print()

@@ -3,17 +3,19 @@
 The runtime subsystem turns every ``--trials N`` loop in the repository
 into a parallel, observable, reproducible workload:
 
-* :mod:`repro.runtime.executor` — :class:`SerialExecutor` /
-  :class:`ParallelExecutor` with per-trial deterministic seeding
-  (``SeedSequence.spawn``), chunked dispatch, per-trial exception
-  capture, worker timeouts, graceful serial fallback, and cross-trial
-  batching (:class:`BatchTrial` + the ``batch_size`` policy knob).
+* :mod:`repro.runtime.executor` — :func:`run_trials`, the one trial
+  runner: per-trial deterministic seeding (``SeedSequence.spawn``), one
+  chunk loop that runs in-process or on a fork pool (falling back to
+  in-process when the pool cannot start, re-running a timed-out chunk
+  in-process), fail-fast :class:`TrialError` reporting, and cross-trial
+  batching (:class:`BatchTrial` + ``batch_size``).
+* :mod:`repro.runtime.checkpoint` — sharded on-disk results, so an
+  interrupted run resumes where it stopped, and the one fresh-or-resume
+  rule for ``--checkpoint DIR [--resume]``.
 * :mod:`repro.runtime.cache` — process-local memo caches for immutable
   artifacts (template banks, pulses) with hit/miss accounting.
 * :mod:`repro.runtime.metrics` — counters, gauges, timers, histograms,
   and a ``render()`` report (trials/sec, cache hit rates, wall-clock).
-* :mod:`repro.runtime.api` — the :func:`run_trials` convenience entry
-  point experiments build on.
 
 Quickstart::
 
@@ -28,8 +30,11 @@ Quickstart::
     print(report.trials_per_s, report.metrics.render())
 """
 
-from repro.runtime.api import TrialRunReport, make_executor, run_trials
-from repro.runtime.checkpoint import CheckpointStore, run_key
+from repro.runtime.checkpoint import (
+    CheckpointStore,
+    checkpoint_usage_error,
+    run_key,
+)
 from repro.runtime.cache import (
     ArtifactCache,
     all_cache_snapshots,
@@ -40,16 +45,12 @@ from repro.runtime.cache import (
 )
 from repro.runtime.executor import (
     BatchTrial,
-    ExecutionPolicy,
-    ParallelExecutor,
-    SerialExecutor,
     TrialError,
-    TrialExecutor,
     TrialFailure,
-    TrialRun,
+    TrialRunReport,
     WorkloadShape,
     choose_batch_size,
-    resolve_policy,
+    run_trials,
     spawn_trial_seeds,
 )
 from repro.runtime.metrics import MetricsRegistry, global_metrics
@@ -58,24 +59,18 @@ __all__ = [
     "ArtifactCache",
     "BatchTrial",
     "CheckpointStore",
-    "ExecutionPolicy",
     "MetricsRegistry",
-    "ParallelExecutor",
-    "SerialExecutor",
     "TrialError",
-    "TrialExecutor",
     "TrialFailure",
-    "TrialRun",
     "TrialRunReport",
     "WorkloadShape",
     "all_cache_snapshots",
+    "checkpoint_usage_error",
     "choose_batch_size",
     "clear_all_caches",
     "get_cache",
     "global_metrics",
-    "make_executor",
     "pulse",
-    "resolve_policy",
     "run_key",
     "run_trials",
     "spawn_trial_seeds",

@@ -11,8 +11,9 @@ doing its job.
 
 Caches are *process-local by design*: parallel workers each warm their
 own copy on their first trial, then hit it for every later trial in
-the process.  The executor ships each worker's hit/miss deltas back to
-the parent so the aggregate hit rate is still observable.
+the process.  :func:`~repro.runtime.executor.run_trials` ships each
+chunk's hit/miss delta back to the parent so the aggregate hit rate is
+still observable.
 
 The module-level helpers :func:`template_bank` and :func:`pulse` are
 the two artifact constructors the experiments actually share; new
@@ -95,11 +96,13 @@ class ArtifactCache:
         return (self._hits, self._misses)
 
     def clear(self) -> None:
-        """Drop all entries and reset the accounting."""
+        """Drop all entries.
+
+        The hit/miss counts keep going up, like a counter's: a
+        :meth:`snapshot` delta taken across a clear stays exact.
+        """
         with self._lock:
             self._entries.clear()
-            self._hits = 0
-            self._misses = 0
 
 
 #: Process-local registry of named caches.
@@ -123,7 +126,7 @@ def all_cache_snapshots() -> Dict[str, Tuple[int, int]]:
 
 
 def clear_all_caches() -> None:
-    """Reset every named cache (used by tests)."""
+    """Drop every named cache's entries (used by tests and benchmarks)."""
     with _CACHES_LOCK:
         for cache in _CACHES.values():
             cache.clear()

@@ -11,7 +11,10 @@ byte-identical to an uninterrupted one.
 
 Shards are written atomically (temp file + ``os.replace``) so a run
 killed mid-write never corrupts the store: the worst case is losing the
-last unflushed batch, which the resume simply re-computes.
+chunk in flight, which the resume simply re-computes.
+
+:func:`checkpoint_usage_error` is the one rule for ``--checkpoint DIR
+[--resume]`` shared by every command line that takes the pair.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["CheckpointStore", "run_key"]
+__all__ = ["CheckpointStore", "checkpoint_usage_error", "run_key"]
 
-#: ``(trial_index, ok, value-or-TrialFailure)`` as produced by executors.
+#: ``(trial_index, ok, value)`` as stored in a shard.  Runs only ever
+#: write ``ok=True``; a stored ``ok=False`` entry counts as missing.
 Entry = Tuple[int, bool, Any]
 
 
@@ -57,36 +61,18 @@ class CheckpointStore:
     key:
         Run identity (see :func:`run_key`); shards of other runs in the
         same directory are ignored.
-    flush_every:
-        How many entries the serial executor accumulates before writing
-        a shard (the parallel executor writes one shard per completed
-        chunk regardless).
     """
 
-    def __init__(
-        self, directory, key: str, flush_every: int = 8
-    ) -> None:
-        if flush_every < 1:
-            raise ValueError(f"flush_every must be >= 1, got {flush_every}")
+    def __init__(self, directory, key: str) -> None:
         self.directory = Path(directory)
         self.key = str(key)
-        self.flush_every = int(flush_every)
 
     @classmethod
     def for_run(
-        cls,
-        directory,
-        seed,
-        n_trials: int,
-        label: str = "trials",
-        flush_every: int = 8,
+        cls, directory, seed, n_trials: int, label: str = "trials"
     ) -> "CheckpointStore":
         """The store for one run configuration."""
-        return cls(
-            directory,
-            run_key(seed, n_trials, label),
-            flush_every=flush_every,
-        )
+        return cls(directory, run_key(seed, n_trials, label))
 
     # -- paths ---------------------------------------------------------------
 
@@ -143,16 +129,27 @@ class CheckpointStore:
                 loaded[int(index)] = (bool(ok), payload)
         return loaded
 
-    def completed_indices(self) -> Set[int]:
-        return set(self.load_entries())
 
-    def clear(self) -> int:
-        """Delete this run's shards; returns how many were removed."""
-        removed = 0
-        for path in self._shard_paths():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+def checkpoint_usage_error(
+    directory: Optional[str], resume: bool
+) -> Optional[str]:
+    """Why ``--checkpoint DIR [--resume]`` must not run, or ``None``.
+
+    A fresh run needs an empty (or absent) ``DIR``: shards left there by
+    an earlier run of the same configuration would silently stand in for
+    trials that were never run this time.  ``--resume`` says reusing
+    them is intended, and means nothing without ``--checkpoint``.
+    """
+    if resume and not directory:
+        return "--resume requires --checkpoint DIR"
+    if (
+        directory
+        and not resume
+        and os.path.isdir(directory)
+        and os.listdir(directory)
+    ):
+        return (
+            f"checkpoint dir {directory!r} is not empty; pass --resume to "
+            "continue an interrupted run or choose a fresh directory"
+        )
+    return None

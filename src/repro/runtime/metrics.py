@@ -423,8 +423,9 @@ def global_metrics() -> MetricsRegistry:
     detector in :mod:`repro.core.detection`) records into this registry;
     benchmarks and the CLI can read it back with ``render()``.  Like the
     artifact caches it is process-local: parallel workers accumulate
-    their own copy, and only cache counters (which the executor ships as
-    deltas) are merged across processes.
+    their own copy, and only cache counters (which
+    :func:`~repro.runtime.executor.run_trials` ships as per-chunk deltas)
+    are merged across processes.
     """
     global _GLOBAL_REGISTRY
     if _GLOBAL_REGISTRY is None:

@@ -263,7 +263,9 @@ async def _session_task(
             )
             continue
         report.record(result)
-        next_at += interval
+        # A saturated session drops the slots it missed instead of
+        # sending them back to back past ``stop_at``.
+        next_at = max(next_at + interval, loop.time())
 
 
 async def run_load(

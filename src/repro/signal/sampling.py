@@ -20,7 +20,8 @@ def fft_upsample(signal: np.ndarray, factor: int) -> np.ndarray:
     This is the textbook band-limited interpolation used by the paper's
     step 1: transform, insert zeros at the high frequencies, inverse
     transform, rescale.  Works for real and complex signals; a real input
-    yields a real output (up to float rounding, which we strip).
+    yields a real output (up to float rounding, which we strip).  A batch
+    of one of :func:`fft_upsample_batch`.
 
     Parameters
     ----------
@@ -32,45 +33,18 @@ def fft_upsample(signal: np.ndarray, factor: int) -> np.ndarray:
     signal = np.asarray(signal)
     if signal.ndim != 1:
         raise ValueError(f"expected a 1-D signal, got shape {signal.shape}")
-    factor = int(factor)
-    if factor < 1:
-        raise ValueError(f"upsampling factor must be >= 1, got {factor}")
-    if factor == 1:
-        return signal.copy()
-
-    n = len(signal)
-    was_real = np.isrealobj(signal)
-    spectrum = np.fft.fft(signal)
-    padded = np.zeros(n * factor, dtype=complex)
-    # Number of non-negative-frequency bins (DC included).  For odd n the
-    # top positive-frequency bin is (n - 1) / 2, so the positive block
-    # holds (n + 1) // 2 bins; using n // 2 would misfile that bin into
-    # the negative-frequency block and corrupt the interpolant.
-    half = (n + 1) // 2
-    padded[:half] = spectrum[:half]
-    if n > half:
-        padded[-(n - half):] = spectrum[half:]
-    # Split the Nyquist bin symmetrically for even-length inputs so a real
-    # input stays real after interpolation (odd lengths have no Nyquist
-    # bin, so no split is needed).
-    if n % 2 == 0:
-        padded[half] = spectrum[half] / 2.0
-        padded[-half] = spectrum[half] / 2.0
-    upsampled = np.fft.ifft(padded) * factor
-    return upsampled.real if was_real else upsampled
+    return fft_upsample_batch(signal[np.newaxis], factor)[0]
 
 
 def fft_upsample_batch(signals: np.ndarray, factor: int) -> np.ndarray:
     """Upsample a batch of equal-length signals in one 2-D FFT pass.
 
-    ``signals`` is a ``(B, N)`` array; the result is ``(B, N * factor)``
-    and row ``b`` equals ``fft_upsample(signals[b], factor)``.  The
-    implementation applies *the same* spectral zero-padding as the 1-D
-    function, just along ``axis=1`` of a single batched transform —
-    pocketfft evaluates each row with the identical kernel, so the rows
-    are byte-identical to individual :func:`fft_upsample` calls (and in
-    any case agree to roundoff; ``tests/test_properties_detection.py``
-    asserts ``rtol <= 1e-9``).
+    ``signals`` is a ``(B, N)`` array; the result is ``(B, N * factor)``.
+    Pocketfft evaluates each row of the batched transform with the same
+    kernel as a 1-D transform, so row ``b`` is byte-identical to
+    upsampling ``signals[b]`` on its own
+    (``tests/test_properties_signal.py`` holds the rows to a 1-D
+    transcription of the bin bookkeeping below).
 
     This is the cross-*trial* batching the detection engine in
     :mod:`repro.core.batch` builds on: B Monte-Carlo CIRs share one
@@ -93,11 +67,17 @@ def fft_upsample_batch(signals: np.ndarray, factor: int) -> np.ndarray:
     was_real = np.isrealobj(signals)
     spectrum = np.fft.fft(signals, axis=1)
     padded = np.zeros((batch, n * factor), dtype=complex)
-    # Identical bin bookkeeping to fft_upsample (see comments there).
+    # Number of non-negative-frequency bins (DC included).  For odd n the
+    # top positive-frequency bin is (n - 1) / 2, so the positive block
+    # holds (n + 1) // 2 bins; using n // 2 would misfile that bin into
+    # the negative-frequency block and corrupt the interpolant.
     half = (n + 1) // 2
     padded[:, :half] = spectrum[:, :half]
     if n > half:
         padded[:, -(n - half):] = spectrum[:, half:]
+    # Split the Nyquist bin symmetrically for even-length inputs so a real
+    # input stays real after interpolation (odd lengths have no Nyquist
+    # bin, so no split is needed).
     if n % 2 == 0:
         padded[:, half] = spectrum[:, half] / 2.0
         padded[:, -half] = spectrum[:, half] / 2.0

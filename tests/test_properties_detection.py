@@ -841,7 +841,7 @@ class TestWorkerPlanReuse:
         report = run_trials(
             _plan_reuse_trial, 60, seed=2018, workers=2, metrics=metrics
         )
-        assert report.run.fallback_reason is None
+        assert report.fallback_reason is None
         hits = metrics.counter("cache.detector_plans.hits").value
         misses = metrics.counter("cache.detector_plans.misses").value
         assert 1 <= misses <= 2

@@ -11,7 +11,12 @@ from repro.signal.pulses import (
     pulse_width_factor,
     raised_cosine_pulse,
 )
-from repro.signal.sampling import fft_upsample, fractional_delay, place_pulse
+from repro.signal.sampling import (
+    fft_upsample,
+    fft_upsample_batch,
+    fractional_delay,
+    place_pulse,
+)
 
 registers = st.integers(min_value=TC_PGDELAY_DEFAULT, max_value=TC_PGDELAY_MAX)
 
@@ -50,7 +55,50 @@ class TestPulseProperties:
         assert abs(value[0]) <= 1.0 + 1e-12
 
 
+def fft_upsample_1d(signal, factor):
+    """The 1-D upsampler as it was written before it became a batch of
+    one: the oracle the batched rows are held to, byte for byte."""
+    if factor == 1:
+        return signal.copy()
+    n = len(signal)
+    was_real = np.isrealobj(signal)
+    spectrum = np.fft.fft(signal)
+    padded = np.zeros(n * factor, dtype=complex)
+    half = (n + 1) // 2
+    padded[:half] = spectrum[:half]
+    if n > half:
+        padded[-(n - half):] = spectrum[half:]
+    if n % 2 == 0:
+        padded[half] = spectrum[half] / 2.0
+        padded[-half] = spectrum[half] / 2.0
+    upsampled = np.fft.ifft(padded) * factor
+    return upsampled.real if was_real else upsampled
+
+
 class TestResamplingProperties:
+    @given(
+        rows=st.integers(min_value=1, max_value=4),
+        n=st.sampled_from([1, 2, 3, 64, 509, 1015, 1016]),
+        factor=st.sampled_from([1, 2, 3, 8]),
+        complex_input=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_rows_equal_1d_transforms_bytewise(
+        self, rows, n, factor, complex_input, seed
+    ):
+        rng = np.random.default_rng(seed)
+        signals = rng.standard_normal((rows, n))
+        if complex_input:
+            signals = signals + 1j * rng.standard_normal((rows, n))
+        batched = fft_upsample_batch(signals, factor)
+        for row, signal in zip(batched, signals):
+            expected = fft_upsample_1d(signal, factor)
+            single = fft_upsample(signal, factor)
+            assert row.dtype == single.dtype == expected.dtype
+            assert row.tobytes() == expected.tobytes()
+            assert single.tobytes() == expected.tobytes()
+
     @given(
         factor=st.integers(min_value=1, max_value=8),
         seed=st.integers(min_value=0, max_value=2**31),

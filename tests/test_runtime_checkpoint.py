@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from repro.runtime import (
     CheckpointStore,
     MetricsRegistry,
-    SerialExecutor,
+    TrialError,
     run_key,
     run_trials,
     spawn_trial_seeds,
@@ -25,6 +26,13 @@ def draw_normal(rng, index):
 
 def draw_pair(rng, index):
     return (index, float(rng.normal()))
+
+
+def draw_or_fail_at(rng, index, *, failing):
+    """``draw_normal``, except that trial ``failing`` raises."""
+    if index == failing:
+        raise ValueError(f"boom at {index}")
+    return float(rng.normal())
 
 
 class TestRunKey:
@@ -46,10 +54,6 @@ class TestRunKey:
 
 
 class TestCheckpointStore:
-    def test_flush_every_validation(self):
-        with pytest.raises(ValueError):
-            CheckpointStore("/tmp/x", "k", flush_every=0)
-
     def test_save_and_load_roundtrip(self, tmp_path):
         store = CheckpointStore.for_run(tmp_path, 3, 10, label="t")
         store.save_entries([(0, True, 1.5), (1, True, 2.5)])
@@ -60,7 +64,6 @@ class TestCheckpointStore:
             1: (True, 2.5),
             5: (False, "failure-payload"),
         }
-        assert store.completed_indices() == {0, 1, 5}
 
     def test_empty_batch_writes_nothing(self, tmp_path):
         store = CheckpointStore.for_run(tmp_path, 3, 10)
@@ -92,15 +95,6 @@ class TestCheckpointStore:
         loaded = store.load_entries()
         assert 1 in loaded
         assert 0 not in loaded  # its trial simply runs again
-
-    def test_clear_removes_only_this_run(self, tmp_path):
-        a = CheckpointStore.for_run(tmp_path, 3, 10, label="a")
-        b = CheckpointStore.for_run(tmp_path, 3, 10, label="b")
-        a.save_entries([(0, True, 1.0)])
-        b.save_entries([(0, True, 2.0)])
-        assert a.clear() == 1
-        assert a.load_entries() == {}
-        assert b.load_entries() == {0: (True, 2.0)}
 
 
 class TestRunTrialsCheckpointing:
@@ -191,46 +185,75 @@ class TestRunTrialsCheckpointing:
         assert metrics.counter("runtime.checkpoint_hits").value == 0
         assert metrics.counter("runtime.trials").value == 8
 
-    def test_failed_trials_are_not_resumed_as_done(self, tmp_path):
-        def sometimes_fail(rng, index):
-            if index == 2:
-                raise ValueError("boom")
-            return index
-
-        report = run_trials(
-            sometimes_fail,
-            5,
-            seed=0,
-            fail_fast=False,
-            checkpoint_dir=str(tmp_path),
-            checkpoint_label="flaky",
-        )
-        assert len(report.failures) == 1
+    @pytest.mark.parametrize("workers, kept", [(1, 8), (2, 12)])
+    def test_failing_run_keeps_finished_chunks(self, tmp_path, workers, kept):
+        """Trial 13 of 20 fails: the chunks finished before it stay on
+        disk (8-trial in-process chunks; 3-trial chunks on 2 workers),
+        the rerun raises at 13 again, and a fixed trial function resumes
+        from the kept trials to the uninterrupted result."""
+        failing = partial(draw_or_fail_at, failing=13)
+        store = CheckpointStore.for_run(tmp_path, 3, 20, label="fails")
+        for attempt in range(2):
+            with pytest.raises(TrialError) as excinfo:
+                run_trials(
+                    failing,
+                    20,
+                    seed=3,
+                    workers=workers,
+                    checkpoint_dir=str(tmp_path),
+                    checkpoint_label="fails",
+                )
+            assert excinfo.value.failure.index == 13
+            saved = set(store.load_entries())
+            if attempt == 0:
+                assert saved == set(range(kept))
+            else:
+                # The rerun's chunks are smaller; it may keep a few more.
+                assert set(range(kept)) <= saved <= set(range(13))
+        metrics = MetricsRegistry()
         resumed = run_trials(
-            sometimes_fail,
+            draw_normal,
+            20,
+            seed=3,
+            metrics=metrics,
+            checkpoint_dir=str(tmp_path),
+            checkpoint_label="fails",
+        )
+        assert resumed.values == run_trials(draw_normal, 20, seed=3).values
+        assert metrics.counter("runtime.checkpoint_hits").value == len(saved)
+        assert metrics.counter("runtime.trials").value == 20 - len(saved)
+
+    def test_stored_failure_counts_as_missing(self, tmp_path):
+        """An ``ok=False`` shard entry (older collect-mode stores) is
+        re-run, not returned as a value."""
+        store = CheckpointStore.for_run(tmp_path, 0, 5, label="old")
+        store.save_entries([(2, False, "failure-payload")])
+        metrics = MetricsRegistry()
+        report = run_trials(
+            draw_normal,
             5,
             seed=0,
-            fail_fast=False,
+            metrics=metrics,
             checkpoint_dir=str(tmp_path),
-            checkpoint_label="flaky",
+            checkpoint_label="old",
         )
-        assert resumed.values == report.values
-        assert len(resumed.failures) == 1
+        assert report.values == run_trials(draw_normal, 5, seed=0).values
+        assert metrics.counter("runtime.checkpoint_hits").value == 0
+        assert metrics.counter("runtime.trials").value == 5
 
 
 #: Subprocess body for the kill-resume integration check: a slow,
-#: per-trial-flushed serial run the parent SIGTERMs mid-campaign.
+#: checkpointed in-process run the parent SIGTERMs mid-campaign.
 _KILL_SCRIPT = """
 import sys, time
-from repro.runtime import CheckpointStore, SerialExecutor
+from repro.runtime import run_trials
 
 def slow_trial(rng, index):
     time.sleep(0.2)
     return float(rng.normal())
 
-directory = sys.argv[1]
-store = CheckpointStore.for_run(directory, 5, 12, label="kill", flush_every=1)
-SerialExecutor().run(slow_trial, 12, 5, checkpoint=store)
+run_trials(slow_trial, 12, seed=5, checkpoint_dir=sys.argv[1],
+           checkpoint_label="kill")
 """
 
 
@@ -248,11 +271,11 @@ class TestKillResumeIntegration:
             [sys.executable, "-c", _KILL_SCRIPT, str(directory)], env=env
         )
         try:
-            # Wait until at least two shards hit the disk, then kill.
+            # Wait until the first chunk's shard hits the disk, then kill.
             deadline = time.monotonic() + 30.0
             store = CheckpointStore.for_run(directory, 5, 12, label="kill")
             while time.monotonic() < deadline:
-                if len(store.completed_indices()) >= 2:
+                if len(store.load_entries()) >= 2:
                     break
                 if process.poll() is not None:
                     break
@@ -265,7 +288,7 @@ class TestKillResumeIntegration:
                 process.kill()
                 process.wait(timeout=10)
 
-        completed = store.completed_indices()
+        completed = store.load_entries()
         assert len(completed) >= 1, "no shards were written before the kill"
 
         # Resume with a fast trial function drawing the same stream (the

@@ -39,6 +39,7 @@ from repro.runtime import BatchTrial, run_trials
 from repro.serve import (
     EngineConfig,
     MetricsServer,
+    RangingOutcome,
     RangingRequest,
     RangingService,
     ServeConfig,
@@ -517,6 +518,35 @@ class TestAccounting:
         assert report.sent > 0
         assert report.accounting_ok, report.as_dict()
         assert service.pending == 0
+
+    def test_saturated_loadgen_keeps_to_its_duration(self):
+        """Sessions slower than their pace drop the slots they missed
+        instead of sending them all after ``duration_s`` ran out."""
+
+        class SlowService:
+            async def submit(self, request):
+                await asyncio.sleep(0.05)
+                return RangingOutcome(
+                    session_id=request.session_id,
+                    sequence=request.sequence,
+                    status="ok",
+                    latency_s=0.05,
+                )
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            report = await run_load(
+                SlowService(),
+                POOL,
+                LoadgenConfig(sessions=2, rate=400.0, duration_s=1.0),
+            )
+            return report, loop.time() - started
+
+        report, wall_s = asyncio.run(scenario())
+        assert wall_s < 1.0 + 0.5, report.as_dict()
+        assert report.accounting_ok, report.as_dict()
+        assert report.ok == report.sent > 0
 
 
 class TestEndpoints:
