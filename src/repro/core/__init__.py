@@ -7,8 +7,9 @@
   :func:`~repro.core.detection.detect_reference`, the literal
   re-filtering loop the engine is tested against.
 * :mod:`repro.core.plan` — spectrum-cached FFT detection plans: the
-  immutable filter-bank spectra and cross-correlation tables the engine
-  runs on, memoised per shape.
+  immutable filter-bank spectra the engine runs on, memoised per shape,
+  and the batched step-5 update that subtracts detected responses from
+  the filter outputs.
 * :mod:`repro.core.batch` — the one detection engine: B CIRs of one
   shape through a single 2-D FFT pass
   (:func:`~repro.core.batch.detect_batch`); ``detect()`` is a batch of

@@ -14,8 +14,8 @@ upsampling factor) stack into a ``(B, N)`` array and pay:
 then run the search-and-subtract extraction *vectorised across the
 batch dimension* (:func:`repro.core.batch_extract.extract_responses_batch`):
 one argmax per iteration over the whole ``(B, n_templates * n_fine)``
-magnitude view, an active-row mask for ragged early-stop, and grouped
-batched small-FFT subtraction updates.
+magnitude view, an active-row mask for ragged early-stop, and one
+batched small-FFT subtraction update per iteration.
 
 This is the only engine: :meth:`SearchAndSubtract.detect
 <repro.core.detection.SearchAndSubtract.detect>` is a batch of one, and

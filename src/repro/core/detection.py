@@ -26,9 +26,11 @@ One engine plus one oracle implement the loop:
   whole template bank of B stacked CIRs as one batched FFT product over
   a spectrum-cached :class:`~repro.core.plan.DetectorPlan` and —
   because filtering is linear — realises step 5 as an O(L_template)
-  in-place update of the filter outputs using precomputed template
-  cross-correlations, instead of re-filtering the full CIR on every
-  iteration.  :meth:`SearchAndSubtract.detect` is a batch of one;
+  in-place update of the filter outputs: one short-window correlation
+  of every subtracted response with the bank
+  (:meth:`~repro.core.plan.DetectorPlan.subtract_responses`), instead
+  of re-filtering the full CIR on every iteration.
+  :meth:`SearchAndSubtract.detect` is a batch of one;
 * the **oracle** (:func:`detect_reference`) is the literal
   transcription of the paper's steps: subtract from the working signal,
   re-run every matched filter.  Tests call it directly to check the
@@ -97,14 +99,14 @@ class SearchAndSubtractConfig:
         pure-noise "responses" when fewer than ``max_responses``
         responders actually replied).  Set to 0 to always extract exactly
         ``max_responses`` peaks.
-    refine_subsample:
-        Parabolic sub-sample refinement of each peak position.
+
+    Every peak position is refined to sub-sample precision with a
+    three-point parabola.
     """
 
     max_responses: int = 1
     upsample_factor: int = 8
     min_peak_snr: float = 0.0
-    refine_subsample: bool = True
 
     def __post_init__(self) -> None:
         if self.max_responses < 1:
@@ -327,11 +329,7 @@ def detect_reference(
         if gate > 0.0 and magnitude[peak_idx] < gate:
             break
 
-        position = (
-            _parabolic_peak(magnitude, peak_idx)
-            if config.refine_subsample
-            else float(peak_idx)
-        )
+        position = _parabolic_peak(magnitude, peak_idx)
         amplitude = complex(outputs[template_idx][peak_idx])
         # Unit-energy templates at the upsampled rate spread their
         # energy over `factor` times more samples, which inflates

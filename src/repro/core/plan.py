@@ -21,13 +21,10 @@ thousands of Monte-Carlo trials share one plan per process:
   peak-anchoring phase ramp, so the whole bank is evaluated as **one**
   forward FFT of the CIR times a 2-D spectrum matrix and **one** batched
   inverse FFT;
-* the template <-> template cross-correlation table (peak-anchored, in a
-  window of one template footprint), which turns step 5 of the paper's
-  algorithm into an O(L_template) in-place update of all filter outputs
-  instead of an O(N log N) re-filtering of the whole CIR;
-* small-size conjugate spectra for the fractional-shift variant of the
-  same update (sub-sample peak refinement shifts the subtrahend by a
-  fraction of a sample, which a static table cannot represent exactly).
+* the same spectra at a short window size, which turn step 5 of the
+  paper's algorithm into an O(L_template) in-place update of all filter
+  outputs instead of an O(N log N) re-filtering of the whole CIR
+  (:meth:`DetectorPlan.subtract_responses`).
 
 The plan itself is immutable and shared; the batched engine
 (:class:`repro.core.batch.BatchDetectorPlan`) wraps it with the
@@ -52,7 +49,7 @@ from scipy import fft as sp_fft
 from repro.runtime.cache import get_cache
 from repro.runtime.metrics import global_metrics
 from repro.signal.pulses import Pulse
-from repro.signal.sampling import placed_segment
+from repro.signal.sampling import placed_segments
 
 __all__ = ["DetectorPlan", "detector_plan", "plan_cache_key"]
 
@@ -116,11 +113,6 @@ class DetectorPlan:
         spectra used to correlate a placed segment against the bank.
     max_template_length:
         Longest fine-rate template (window-sizing constant).
-    cross_correlations:
-        Per-template ``(n_templates, window)`` arrays: entry ``t`` holds
-        the peak-anchored correlation of template ``t`` with every bank
-        template — the precomputed search-and-subtract update for
-        integer-sample subtraction positions.
     """
 
     templates: Tuple[Pulse, ...]
@@ -134,7 +126,6 @@ class DetectorPlan:
     small_fft_length: int
     small_spectra: np.ndarray
     max_template_length: int
-    cross_correlations: Tuple[np.ndarray, ...]
 
     # -- construction --------------------------------------------------------
 
@@ -187,7 +178,7 @@ class DetectorPlan:
         small_fft_length = sp_fft.next_fast_len(2 * max_len + seg_max)
         small_spectra = _anchored_spectra(fine, small_fft_length)
 
-        plan = cls(
+        return cls(
             templates=tuple(fine),
             template_keys=tuple(_template_key(t) for t in templates),
             sampling_period_s=float(sampling_period_s),
@@ -199,111 +190,92 @@ class DetectorPlan:
             small_fft_length=small_fft_length,
             small_spectra=small_spectra,
             max_template_length=max_len,
-            cross_correlations=(),
         )
-        # The integer-shift cross-correlation table is just the window
-        # correlation of each template against the whole bank.
-        table = tuple(
-            plan.window_correlations(t.samples.astype(complex))[1]
-            for t in fine
-        )
-        object.__setattr__(plan, "cross_correlations", table)
-        return plan
 
     # -- incremental search-and-subtract updates -----------------------------
 
-    def window_correlations(
-        self, segment: np.ndarray
-    ) -> Tuple[int, np.ndarray]:
-        """Peak-anchored correlation of a short placed segment with the bank.
-
-        For a segment ``e`` added into the working signal at buffer index
-        ``d0``, every matched-filter output changes by
-        ``amplitude * ordered[i, (n - d0) - offset]`` for output sample
-        ``n`` — the *only* samples that change.  Returns
-        ``(offset, ordered)`` where ``offset`` (negative) is the first
-        affected output index relative to ``d0`` and ``ordered`` is the
-        ``(n_templates, window)`` update matrix.
-
-        One small forward FFT plus one small batched inverse FFT — this
-        is the O(L_template) per-iteration cost of the incremental
-        search-and-subtract.
-        """
-        segment = np.asarray(segment)
-        if segment.ndim != 1:
-            raise ValueError("segment must be a 1-D array")
-        if len(segment) > self.max_template_length + 1:
-            raise ValueError(
-                f"segment of length {len(segment)} exceeds the plan's "
-                f"window (max {self.max_template_length + 1})"
-            )
-        m = self.small_fft_length
-        forward = sp_fft.fft(segment, m)
-        aligned = sp_fft.ifft(forward[np.newaxis, :] * self.small_spectra, axis=1)
-        lead = self.max_template_length - 1
-        tail = self.max_template_length + len(segment) - 1
-        # Negative lags live at the top of the circular buffer; stitching
-        # them in front of the positive lags yields the linear window.
-        ordered = np.concatenate(
-            [aligned[:, m - lead:], aligned[:, :tail]], axis=1
-        )
-        return -lead, ordered
-
-    def subtract_response(
+    def subtract_responses(
         self,
         outputs: np.ndarray,
-        template_index: int,
-        position: float,
-        amplitude: complex,
-    ) -> Tuple[int, int]:
-        """Apply step 5 of the paper's algorithm directly to ``outputs``.
+        magnitudes: np.ndarray,
+        rows: Sequence[int],
+        template_indices: Sequence[int],
+        positions: Sequence[float],
+        amplitudes: Sequence[complex],
+    ) -> None:
+        """Apply step 5 of the paper's algorithm to one response per row.
+
+        ``outputs`` is a ``(B, n_templates, n_fine)`` filter-bank output
+        tensor and ``magnitudes`` its ``np.abs``.  For every ``k``, row
+        ``rows[k]`` loses the response of template ``template_indices[k]``
+        peaking at fine-rate ``positions[k]`` with raw filter amplitude
+        ``amplitudes[k]``; the two tensors are updated in place.
 
         The reference detector places ``-amplitude * template`` into the
         working signal (via :func:`repro.signal.sampling.place_pulse`)
         and re-filters everything.  Because filtering is linear, the
-        filter outputs change only by the correlation of that placed
-        segment with each template — a window of one template footprint.
-        This method computes exactly the segment ``place_pulse`` would
-        place (same fractional shift, same clipping) and subtracts its
-        ``amplitude``-scaled window correlations from ``outputs`` in
-        place: O(L_template log L_template) per iteration instead of
-        O(n_templates * N log N).
-
-        Integer-sample positions with no clipping take the precomputed
-        :attr:`cross_correlations` table directly; fractional or clipped
-        placements correlate the exact shifted segment through the
-        plan's small cached spectra.
-
-        Returns the half-open ``(a, b)`` output range that changed
-        (``a == b`` when the segment lies entirely outside the signal).
+        filter outputs change only by the correlation of the placed
+        samples with each template — a window of one template footprint
+        on either side of them.  This method left-aligns exactly the
+        samples ``place_pulse`` would add inside the buffer
+        (:func:`repro.signal.sampling.placed_segments`: the pulse itself
+        at an integer position, its fractional shift otherwise, clipped
+        at the buffer edges) in one ``(R, max_template_length + 1)``
+        array, correlates every row with the bank in one ``(R, m)``
+        forward and one ``(R, n_templates, m)`` inverse FFT at the short
+        window size ``m``, and subtracts each row's window.  A response
+        placed entirely outside the signal changes nothing.
         """
-        template = self.templates[template_index]
-        samples = template.samples.astype(complex)
-        start, segment = placed_segment(
-            samples, position, template.peak_index
-        )
-        # Clip exactly as place_pulse would.
-        src_start = max(0, -start)
-        src_stop = len(segment) - max(
-            0, start + len(segment) - self.n_fine
-        )
-        if src_start >= src_stop:
-            return 0, 0  # entirely outside the signal: nothing changes
-        unshifted = segment is samples  # no fractional part was applied
-        if unshifted and src_start == 0 and src_stop == len(segment):
-            offset = -(self.max_template_length - 1)
-            ordered = self.cross_correlations[template_index]
-            first = start + offset
-        else:
-            offset, ordered = self.window_correlations(
-                segment[src_start:src_stop]
+        max_len = self.max_template_length
+        lead = max_len - 1
+        template_indices = np.asarray(template_indices)
+        positions = np.asarray(positions, dtype=float)
+        placed = np.zeros((len(rows), max_len + 1), dtype=complex)
+        # Buffer index of each row's first placed sample, and how many
+        # samples landed inside the buffer (0 leaves the row untouched).
+        origins = [0] * len(rows)
+        counts = [0] * len(rows)
+        for t in np.unique(template_indices):
+            picks = np.flatnonzero(template_indices == t)
+            template = self.templates[t]
+            starts, lengths, segments = placed_segments(
+                template.samples.astype(complex),
+                positions[picks],
+                template.peak_index,
             )
-            first = start + src_start + offset
-        a = max(0, first)
-        b = min(self.n_fine, first + ordered.shape[1])
-        if a < b:
-            outputs[:, a:b] -= amplitude * ordered[:, a - first : b - first]
-        return a, b
+            for k, start, length, segment in zip(
+                picks, starts.tolist(), lengths.tolist(), segments
+            ):
+                # Clip exactly as place_pulse would.
+                src_start = max(0, -start)
+                src_stop = min(length, self.n_fine - start)
+                if src_start < src_stop:
+                    placed[k, : src_stop - src_start] = segment[
+                        src_start:src_stop
+                    ]
+                    origins[k] = start + src_start
+                    counts[k] = src_stop - src_start
+        m = self.small_fft_length
+        forward = sp_fft.fft(placed, m, axis=1)
+        aligned = sp_fft.ifft(
+            forward[:, np.newaxis, :] * self.small_spectra[np.newaxis, :, :],
+            axis=2,
+            overwrite_x=True,
+        )
+        for k, (row, origin, count) in enumerate(zip(rows, origins, counts)):
+            if count == 0:
+                continue
+            # Lag 0 sits at ``origin``; the negative lags live at the top
+            # of the circular buffer.
+            a = max(0, origin - lead)
+            b = min(self.n_fine, origin + max_len + count - 1)
+            outputs[row, :, a:origin] -= (
+                amplitudes[k] * aligned[k, :, m - (origin - a):]
+            )
+            outputs[row, :, origin:b] -= (
+                amplitudes[k] * aligned[k, :, : b - origin]
+            )
+            np.abs(outputs[row, :, a:b], out=magnitudes[row, :, a:b])
 
 
 def _template_key(template: Pulse) -> tuple:

@@ -144,9 +144,11 @@ def choose_batch_size(
       tensors (spectrum product + inverse-transform output); B is capped
       so they stay under :data:`MAX_BATCH_SCRATCH_BYTES`.
     * **Diminishing returns.**  Past :data:`MAX_AUTO_BATCH` the
-      forward/inverse transforms are already fully amortised
-      (``TestBatchSpeedup`` in ``tests/test_properties_detection.py``
-      times B=64), so larger batches only pay memory.
+      forward/inverse transforms are already fully amortised (a B=64
+      pass over 64 Table I CIRs makes a few dozen transform calls
+      where the per-CIR loop makes about 1,000: ``TestBatchSpeedup`` in
+      ``tests/test_properties_detection.py``), so larger batches only
+      pay memory.
 
     The result is rounded down to a power of two so chunks split into
     even groups, and is always >= 1.  Determinism note: the choice
@@ -555,7 +557,6 @@ def run_trials(
         )
     elapsed_s = time.perf_counter() - started
     metrics.timer("runtime.wall_clock").record(elapsed_s)
-    metrics.counter("runtime.trials_ok").inc(len(items))
     return TrialRunReport(
         values=[results[index] for index in range(n_trials)],
         n_trials=n_trials,

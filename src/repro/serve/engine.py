@@ -9,8 +9,8 @@ instances and hands them to :func:`~repro.core.batch.detect_batch` /
 :func:`~repro.core.batch_id.classify_batch` explicitly.  Plans are
 memoised per ``(CIR length, batch size)`` in a small per-shard table
 (deadline flushes produce short batches, so a handful of sizes recur);
-the heavy batch-independent artifacts underneath (template spectra,
-correlation tables) still come from the process-wide cache, which is
+the heavy batch-independent artifacts underneath (the template
+spectra) still come from the process-wide cache, which is
 lock-protected and immutable once built.
 
 Degradation mirrors :mod:`repro.runtime`'s :class:`BatchTrial`

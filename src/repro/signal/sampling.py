@@ -176,36 +176,6 @@ def placed_segments(
     return starts, lengths, segments
 
 
-def placed_segment(
-    pulse_samples: np.ndarray,
-    peak_position_samples: float,
-    peak_index: int | None = None,
-) -> tuple:
-    """The integer start index and (fractionally shifted) samples that
-    :func:`place_pulse` would add into a buffer.
-
-    A batch of one of :func:`placed_segments`.  It lets the detection
-    engine compute *exactly* the subtrahend the reference loop would
-    place and correlate it against the template bank in a short window
-    instead of re-filtering the whole signal.
-
-    Returns
-    -------
-    (start, samples):
-        ``start`` is the buffer index of ``samples[0]`` (may be
-        negative); ``samples`` is the pulse, fractionally delayed when
-        ``peak_position_samples`` has a fractional part (then one
-        padding sample longer than the pulse), else ``pulse_samples``
-        itself.
-    """
-    starts, lengths, segments = placed_segments(
-        pulse_samples, [peak_position_samples], peak_index
-    )
-    if lengths[0] == len(pulse_samples):
-        return int(starts[0]), pulse_samples
-    return int(starts[0]), segments[0]
-
-
 def place_pulses(
     buffer: np.ndarray,
     pulse_samples: np.ndarray,

@@ -65,7 +65,7 @@ class TestSingleResponse:
         cir = make_cir([(150.37, 1.0, default_pulse)])
         refined = SearchAndSubtract(
             default_pulse,
-            SearchAndSubtractConfig(max_responses=1, refine_subsample=True),
+            SearchAndSubtractConfig(max_responses=1),
         ).detect(cir, TS)[0]
         assert refined.index == pytest.approx(150.37, abs=0.06)
 

@@ -10,8 +10,12 @@ across bank sizes, CIR lengths (even and odd), noise levels, fractional
 positions, and edge-clipped peaks.
 """
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.constants import CIR_SAMPLING_PERIOD_S as TS
 from repro.core.batch import private_plan
@@ -23,6 +27,7 @@ from repro.core.detection import (
 from repro.core.matched_filter import matched_filter
 from repro.core.plan import DetectorPlan, detector_plan
 from repro.runtime.cache import clear_all_caches, get_cache
+from repro.signal.pulses import Pulse
 from repro.signal.sampling import fft_upsample, place_pulse
 from repro.signal.templates import TemplateBank
 
@@ -161,19 +166,6 @@ class TestFastNaiveEquivalence:
         fast, naive = detect_both(bank, cir, noise_std=1e-4, max_responses=2)
         assert_equivalent(fast, naive)
 
-    def test_no_subsample_refinement(self):
-        """Integer positions hit the precomputed cross-correlation table."""
-        rng = np.random.default_rng(9)
-        bank = TemplateBank.paper_bank(3)
-        cir = synth_cir(
-            rng, 512, bank, 1e-4,
-            [(0, 100.0, 1.0), (1, 250.0, 0.7), (2, 400.0, 0.5)],
-        )
-        fast, naive = detect_both(
-            bank, cir, noise_std=1e-4, refine_subsample=False
-        )
-        assert_equivalent(fast, naive)
-
     def test_pure_noise(self):
         """Both engines extract the same peaks from noise-only CIRs."""
         rng = np.random.default_rng(3)
@@ -268,6 +260,28 @@ def filter_bank(plan, working):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _spread_bank(n_templates):
+    """A bank whose templates differ in length."""
+    return list(TemplateBank.spread(n_templates))
+
+
+def _array_bytes(value):
+    """Bytes held in the arrays reachable from a plan's fields."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, Pulse):
+        return value.samples.nbytes
+    if isinstance(value, (tuple, list)):
+        return sum(_array_bytes(item) for item in value)
+    if dataclasses.is_dataclass(value):
+        return sum(
+            _array_bytes(getattr(value, field.name))
+            for field in dataclasses.fields(value)
+        )
+    return 0
+
+
 class TestPlanInternals:
     def test_filter_bank_matches_matched_filter(self, paper_bank):
         """The engine's filter pass on a batch of one equals
@@ -292,7 +306,9 @@ class TestPlanInternals:
         working = fft_upsample(cir, factor)
         plan = DetectorPlan.build(list(paper_bank), 128, factor, TS)
         for position, amplitude in ((50.0, 1.2), (81.37, 0.5 - 0.2j)):
-            outputs = filter_bank(plan, working)
+            outputs = filter_bank(plan, working)[np.newaxis]
+            magnitudes = np.abs(outputs)
+            before = outputs.copy()
             template = plan.templates[1]
             place_pulse(
                 working,
@@ -302,17 +318,113 @@ class TestPlanInternals:
                 peak_index=template.peak_index,
             )
             expected = filter_bank(plan, working)
-            a, b = plan.subtract_response(outputs, 1, position, amplitude)
-            assert a < b
-            assert np.allclose(outputs, expected, rtol=RTOL, atol=1e-12)
-            # Nothing outside the reported window changed beyond roundoff.
+            plan.subtract_responses(
+                outputs, magnitudes, [0], [1], [position], [amplitude]
+            )
+            assert not np.array_equal(outputs, before)
+            assert np.allclose(outputs[0], expected, rtol=RTOL, atol=1e-12)
+            assert np.array_equal(magnitudes, np.abs(outputs))
 
     def test_subtract_response_outside_signal_is_noop(self, paper_bank):
         plan = DetectorPlan.build(list(paper_bank), 64, 1, TS)
-        outputs = np.ones((3, 64), dtype=complex)
-        a, b = plan.subtract_response(outputs, 0, 5000.0, 1.0)
-        assert (a, b) == (0, 0)
+        outputs = np.ones((1, 3, 64), dtype=complex)
+        magnitudes = np.ones((1, 3, 64))
+        plan.subtract_responses(outputs, magnitudes, [0], [0], [5000.0], [1.0])
         assert np.all(outputs == 1.0)
+        assert np.all(magnitudes == 1.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_templates=st.sampled_from((3, 5)),
+        factor=st.sampled_from((1, 2)),
+        cir_length=st.sampled_from((160, 211)),
+        kinds=st.lists(
+            st.sampled_from(
+                ("integer", "fractional", "clipped", "outside")
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_subtract_responses_matches_refilter(
+        self, seed, n_templates, factor, cir_length, kinds
+    ):
+        """One batched step-5 update equals place_pulse + re-filtering
+        on every row, for integer, fractional, edge-clipped and
+        fully-outside placements of templates of different lengths;
+        rows it does not touch stay byte-identical."""
+        rng = np.random.default_rng(seed)
+        bank = _spread_bank(n_templates)
+        plan = DetectorPlan.build(bank, cir_length, factor, TS)
+        n_fine = plan.n_fine
+        # One more row than picks: the last row is never updated.
+        workings = rng.standard_normal((len(kinds) + 1, n_fine)) + 1j * (
+            rng.standard_normal((len(kinds) + 1, n_fine))
+        )
+        outputs = np.stack([filter_bank(plan, w) for w in workings])
+        magnitudes = np.abs(outputs)
+        expected = outputs.copy()
+        rows = rng.permutation(len(kinds))
+        template_indices = rng.integers(n_templates, size=len(kinds))
+        amplitudes = rng.standard_normal(len(kinds)) + 1j * (
+            rng.standard_normal(len(kinds))
+        )
+        positions = []
+        for row, t, amplitude, kind in zip(
+            rows, template_indices, amplitudes, kinds
+        ):
+            template = plan.templates[t]
+            span = len(template.samples)
+            head = template.peak_index
+            tail = span - head
+            if kind == "integer":
+                position = float(rng.integers(span, n_fine - span))
+            elif kind == "fractional":
+                position = rng.uniform(span, n_fine - span)
+            elif kind == "clipped":
+                # Hangs off the first or the last buffer sample.
+                position = rng.choice(
+                    [
+                        rng.uniform(-0.5 * head, head),
+                        rng.uniform(n_fine - tail + 1, n_fine + 0.5 * tail),
+                    ]
+                )
+                if rng.random() < 0.5:
+                    position = float(np.floor(position))
+            else:
+                position = rng.choice([-2.0 * span, n_fine + 2.0 * span])
+                position += rng.choice([0.0, 0.5])
+            positions.append(position)
+            working = workings[row].copy()
+            place_pulse(
+                working,
+                template.samples.astype(complex),
+                position,
+                amplitude=-amplitude,
+                peak_index=template.peak_index,
+            )
+            expected[row] = filter_bank(plan, working)
+            if kind == "outside":
+                expected[row] = outputs[row]
+        untouched = [
+            row for row, kind in zip(rows, kinds) if kind == "outside"
+        ] + [len(kinds)]
+        before = outputs[untouched].copy()
+
+        plan.subtract_responses(
+            outputs, magnitudes, rows, template_indices, positions, amplitudes
+        )
+        assert np.allclose(outputs, expected, rtol=RTOL, atol=1e-12)
+        assert np.array_equal(outputs[untouched], before)
+        assert np.array_equal(magnitudes, np.abs(outputs))
+
+    def test_96_shape_plan_is_small(self):
+        """The swarm's 96-shape plan (1016 taps, U=4) holds the filter
+        bank's spectra and nothing of the order of a template-pair
+        table: under 16 MiB of arrays in all."""
+        plan = DetectorPlan.build(_spread_bank(96), 1016, 4, TS)
+        assert _array_bytes(plan) < 16 * 2**20
 
     def test_build_validates_inputs(self, paper_bank):
         with pytest.raises(ValueError):
@@ -330,9 +442,3 @@ class TestPlanInternals:
             plan.filter_pass(np.zeros((2, 64), dtype=complex))  # needs B=1
         with pytest.raises(ValueError):
             plan.filter_pass(np.zeros(64, dtype=complex))
-
-    def test_window_correlations_rejects_long_segments(self, paper_bank):
-        plan = DetectorPlan.build(list(paper_bank), 64, 1, TS)
-        too_long = np.zeros(plan.max_template_length + 2, dtype=complex)
-        with pytest.raises(ValueError):
-            plan.window_correlations(too_long)

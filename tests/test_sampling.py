@@ -7,7 +7,7 @@ from repro.signal.sampling import (
     fft_upsample,
     fractional_delay,
     place_pulse,
-    placed_segment,
+    placed_segments,
 )
 
 
@@ -193,8 +193,9 @@ class TestPlacePulse:
 
 
 class TestPlacedSegment:
-    """The shared placement helper the fast detector relies on must
-    describe exactly what place_pulse adds into a buffer."""
+    """One placement of placed_segments — the helper the engine's step-5
+    update correlates — must describe exactly what place_pulse adds into
+    a buffer."""
 
     @pytest.mark.parametrize("position", (50.0, 50.25, 3.0, 2.7, 97.9))
     def test_matches_place_pulse(self, default_pulse, position):
@@ -204,9 +205,10 @@ class TestPlacedSegment:
             buffer, samples, position, amplitude=1.0,
             peak_index=default_pulse.peak_index,
         )
-        start, segment = placed_segment(
-            samples, position, default_pulse.peak_index
+        starts, lengths, segments = placed_segments(
+            samples, [position], default_pulse.peak_index
         )
+        start, segment = int(starts[0]), segments[0, : lengths[0]]
         rebuilt = np.zeros(100, dtype=complex)
         src_start = max(0, -start)
         src_stop = len(segment) - max(0, start + len(segment) - 100)
@@ -218,17 +220,26 @@ class TestPlacedSegment:
 
     def test_integer_position_returns_unshifted_samples(self, default_pulse):
         samples = default_pulse.samples.astype(complex)
-        start, segment = placed_segment(
-            samples, 40.0, default_pulse.peak_index
+        starts, lengths, segments = placed_segments(
+            samples, [40.0, 41.0], default_pulse.peak_index
         )
-        assert segment is samples  # no copy, no fractional shift
-        assert start == 40 - default_pulse.peak_index
+        assert list(lengths) == [len(samples)] * 2
+        for segment in segments:
+            # No fractional shift; the padding column stays zero.
+            assert np.array_equal(segment[: len(samples)], samples)
+            assert segment[-1] == 0.0
+        assert list(starts) == [
+            40 - default_pulse.peak_index, 41 - default_pulse.peak_index
+        ]
 
     def test_fractional_position_pads_one_sample(self, default_pulse):
         samples = default_pulse.samples.astype(complex)
-        _, segment = placed_segment(samples, 40.5, default_pulse.peak_index)
-        assert len(segment) == len(samples) + 1
+        _, lengths, segments = placed_segments(
+            samples, [40.5, 40.0], default_pulse.peak_index
+        )
+        assert segments.shape == (2, len(samples) + 1)
+        assert list(lengths) == [len(samples) + 1, len(samples)]
 
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
-            placed_segment(np.zeros((2, 2)), 1.0)
+            placed_segments(np.zeros((2, 2)), [1.0])
