@@ -5,17 +5,21 @@
 * :mod:`repro.core.detection` — the *search-and-subtract* response
   detector (Sect. IV, steps 1-7) and its oracle,
   :func:`~repro.core.detection.detect_reference`, the literal
-  re-filtering loop the engine is tested against.
+  re-filtering loop (with the engine's coarse-to-fine pick rule) the
+  engine is tested against.
 * :mod:`repro.core.plan` — spectrum-cached FFT detection plans: the
-  immutable filter-bank spectra the engine runs on, memoised per shape,
-  and the batched step-5 update that subtracts detected responses from
-  the filter outputs.
+  bank's cover (the coarse channels the engine searches), their
+  immutable spectra, the scoring matrix of the other templates,
+  memoised per shape, and the batched step-5 update that subtracts
+  detected responses from the coarse outputs.
 * :mod:`repro.core.batch` — the one detection engine: B CIRs of one
-  shape through a single 2-D FFT pass
+  shape through a single 2-D FFT pass over the cover
   (:func:`~repro.core.batch.detect_batch`); ``detect()`` is a batch of
   one.
 * :mod:`repro.core.batch_extract` — the batch-vectorised
-  search-and-subtract extraction loop of that engine.
+  search-and-subtract extraction loop of that engine: search the
+  cover, pick each peak's shape from the whole bank within one native
+  tap, subtract.
 * :mod:`repro.core.threshold` — the threshold-based baseline detector
   (Falsi et al., used as comparison in Sect. VI).
 * :mod:`repro.core.pulse_id` — responder identification from pulse shape

@@ -8,14 +8,18 @@ upsampling factor) stack into a ``(B, N)`` array and pay:
 
 * **one** batched upsampling transform instead of B,
 * **one** ``(B, fft_length)`` forward FFT instead of B,
-* **one** ``(B, n_templates, fft_length)`` batched inverse FFT instead
-  of B,
+* **one** ``(B, n_coarse, fft_length)`` batched inverse FFT over the
+  bank's coarse channels (its cover, :func:`repro.core.plan.bank_cover`)
+  instead of B,
 
 then run the search-and-subtract extraction *vectorised across the
 batch dimension* (:func:`repro.core.batch_extract.extract_responses_batch`):
-one argmax per iteration over the whole ``(B, n_templates * n_fine)``
-magnitude view, an active-row mask for ragged early-stop, and one
-batched small-FFT subtraction update per iteration.
+one argmax per iteration over the whole ``(B, n_coarse * n_fine)``
+magnitude view, one batched pick of each peak's shape from the whole
+bank within one native tap of it, an active-row mask for ragged
+early-stop, and one batched small-FFT subtraction update per iteration.
+A bank that is its own cover — every bank of the paper — is searched
+over all its templates, exactly as before the cover existed.
 
 This is the only engine: :meth:`SearchAndSubtract.detect
 <repro.core.detection.SearchAndSubtract.detect>` is a batch of one, and
@@ -25,13 +29,14 @@ re-filtering loop :func:`repro.core.detection.detect_reference`
 (``rtol <= 1e-9``; observed agreement is at roundoff).  Row ``b`` of a
 batch is byte-identical to a batch of one on CIR ``b``: pocketfft
 evaluates a row of a 2-D transform with the same kernel as the 1-D
-call, and extraction decides each row from that row alone.
+call, the local pick scores each row with its own matrix product, and
+extraction decides each row from that row alone.
 
 Batch plans are memoised per ``(bank, CIR length, factor, B)`` shape in
 the same ``detector_plans`` cache as the shared :class:`DetectorPlan`;
 the key *includes* the batch size (see
 :func:`repro.core.plan.plan_cache_key`), so a B=64 plan — which carries
-``(B, n_templates, fft_length)`` scratch buffers — is never served to
+``(B, n_coarse, fft_length)`` scratch buffers — is never served to
 another batch size.
 """
 
@@ -78,18 +83,20 @@ class BatchDetectorPlan:
 
     Wraps the (cached, immutable) base plan and adds what only makes
     sense for a fixed batch size B: preallocated
-    ``(B, n_templates, fft_length)`` complex and
-    ``(B, n_templates, n_fine)`` float scratch, which at B=64 x 4
-    templates x ~9.4k bins is tens of megabytes we do not want to
-    reallocate on every engine pass.
+    ``(B, n_coarse, fft_length)`` complex and
+    ``(B, n_coarse, n_fine)`` float scratch, which at B=64 x 4
+    channels x ~9.4k bins is tens of megabytes we do not want to
+    reallocate on every engine pass, plus — when the bank has templates
+    outside its cover — the ``(B, n_fine + 2 * residual_margin)``
+    residual the local pick scores them on.
 
     The scratch is mutated on every pass, so a batch plan is neither
-    shape-interchangeable nor thread-safe: :meth:`filter_pass` and
-    :meth:`magnitudes` return views into it that stay valid — and
-    freely mutable, the extraction loop writes into them — only until
-    the next pass on the same plan.  A cached plan is shared by every
-    same-shape caller in the process, so concurrent passes (threads,
-    a serving shard pool, :meth:`SearchAndSubtract.detect
+    shape-interchangeable nor thread-safe: :meth:`filter_pass`,
+    :meth:`magnitudes` and :attr:`residual` hand out views into it that
+    stay valid — and freely mutable, the extraction loop writes into
+    them — only until the next pass on the same plan.  A cached plan is
+    shared by every same-shape caller in the process, so concurrent
+    passes (threads, a serving shard pool, :meth:`SearchAndSubtract.detect
     <repro.core.detection.SearchAndSubtract.detect>`) each run on a
     :func:`private_plan` instead.
     """
@@ -100,11 +107,11 @@ class BatchDetectorPlan:
         self.base = base
         self.batch_size = int(batch_size)
         self._product = np.empty(
-            (self.batch_size, len(base.templates), base.fft_length),
+            (self.batch_size, len(base.coarse), base.fft_length),
             dtype=complex,
         )
         self._magnitudes = np.empty(
-            (self.batch_size, len(base.templates), base.n_fine),
+            (self.batch_size, len(base.coarse), base.n_fine),
             dtype=float,
         )
         # Upsampling pad scratch.  Only the head/tail spectrum blocks
@@ -113,6 +120,17 @@ class BatchDetectorPlan:
         # ~8 MB memset per engine pass at B=64.
         self._padded = np.zeros(
             (self.batch_size, base.n_fine), dtype=complex
+        )
+        # Each row's upsampled CIR less the responses subtracted so far,
+        # between margins that stay zero: only the scored templates read
+        # it, so a bank that is its own cover keeps none.
+        self.residual = (
+            np.zeros(
+                (self.batch_size, base.n_fine + 2 * base.residual_margin),
+                dtype=complex,
+            )
+            if base.scored
+            else None
         )
 
     @property
@@ -127,13 +145,15 @@ class BatchDetectorPlan:
         """Upsample + matched-filter B native-rate CIRs in one pass.
 
         ``cirs`` is ``(B, cir_length)`` complex at the radio's tap rate;
-        returns the ``(B, n_templates, n_fine)`` complex output tensor,
-        a view into the plan's scratch.  Row ``[b, t]`` equals
+        returns the ``(B, n_coarse, n_fine)`` complex output tensor, a
+        view into the plan's scratch.  Row ``[b, c]`` equals
         :func:`repro.core.matched_filter.matched_filter` of the
-        upsampled CIR ``b`` against fine template ``t``.  Every
-        transform passes ``workers=-1``: with B x n_templates
-        independent rows they row-parallelise trivially, and pocketfft
-        evaluates each row with the same kernel as the 1-D call.
+        upsampled CIR ``b`` against fine template ``coarse[c]``; the
+        upsampled CIRs also fill :attr:`residual` when the plan keeps
+        one.  Every transform passes ``workers=-1``: with
+        B x n_coarse independent rows they row-parallelise trivially,
+        and pocketfft evaluates each row with the same kernel as the
+        1-D call.
         """
         cirs = np.asarray(cirs, dtype=complex)
         if cirs.shape != (self.batch_size, self.base.cir_length):
@@ -161,6 +181,9 @@ class BatchDetectorPlan:
                 padded[:, -half] = spectrum[:, half] / 2.0
             working = sp_fft.ifft(padded, axis=1, workers=-1)
             working *= factor
+        if self.residual is not None:
+            margin = self.base.residual_margin
+            self.residual[:, margin : margin + self.base.n_fine] = working
         forward = sp_fft.fft(working, self.base.fft_length, axis=1, workers=-1)
         np.multiply(
             forward[:, np.newaxis, :],
@@ -168,7 +191,7 @@ class BatchDetectorPlan:
             out=self._product,
         )
         # ``overwrite_x`` lets pocketfft transform the scratch in place
-        # instead of allocating a second (B, n_templates, fft_length)
+        # instead of allocating a second (B, n_coarse, fft_length)
         # tensor — ~33 MB of allocation and write traffic per pass at
         # B=64, exactly what makes large batches memory-bound.
         outputs = sp_fft.ifft(
@@ -314,6 +337,7 @@ def search_and_subtract(
             plan.base,
             outputs,
             magnitudes,
+            plan.residual,
             config,
             sampling_period_s,
             stds,

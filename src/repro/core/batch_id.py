@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.core.batch import BatchDetectorPlan, search_and_subtract
 from repro.core.detection import SearchAndSubtractConfig
+from repro.core.plan import bank_cover
 from repro.core.pulse_id import (
     ClassifiedResponse,
     PulseShapeClassifier,
@@ -181,8 +182,10 @@ class ClassifyBatchTrial(BatchTrial):
     ``cir_length`` (when known up front, e.g. the radio's fixed
     ``CIR_LENGTH_PRF64``) attaches a
     :class:`~repro.runtime.executor.WorkloadShape` so
-    ``batch_size="auto"`` can size batches from the workload; without
-    it, ``"auto"`` degrades to unbatched execution.
+    ``batch_size="auto"`` can size batches from the workload — sized by
+    the filter channels the engine searches (the bank's cover at the
+    fine rate, :func:`~repro.core.plan.bank_cover`), not by the bank
+    size; without it, ``"auto"`` degrades to unbatched execution.
 
     Keep ``prepare``/``finish`` picklable (module-level functions or
     ``functools.partial`` over them) so the parallel executor can ship
@@ -210,9 +213,10 @@ class ClassifyBatchTrial(BatchTrial):
         workload = None
         if cir_length is not None:
             factor = (config or SearchAndSubtractConfig()).upsample_factor
+            cover = bank_cover(bank.resampled(sampling_period_s / factor))
             workload = WorkloadShape(
                 cir_length=int(cir_length),
-                bank_size=len(bank),
+                channels=len(cover),
                 upsample_factor=factor,
             )
         BatchTrial.__init__(

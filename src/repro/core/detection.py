@@ -15,26 +15,32 @@ The algorithm, following the paper's seven steps:
    is the property that makes the scheme robust to shadowed direct paths
    (challenge IV).
 
-When constructed with a multi-template bank the detector searches all
-matched-filter outputs jointly and records which template won each
-iteration; that is exactly the pulse-shape identification of Sect. V, so
-:mod:`repro.core.pulse_id` builds directly on this class.
+When constructed with a multi-template bank the detector records which
+template won each iteration; that is the pulse-shape identification of
+Sect. V, so :mod:`repro.core.pulse_id` builds directly on this class.
+Step 3 runs coarse to fine: the peak is the strongest over the outputs
+of the bank's cover (:func:`repro.core.plan.bank_cover`, the templates
+every other one correlates with at 0.99 or more), and the response is
+the strongest output of *any* template within one native tap of it.
+Every bank the paper uses is its own cover, so there step 3 is the
+joint maximum over all matched-filter outputs.
 
 One engine plus one oracle implement the loop:
 
-* the **engine** (:func:`repro.core.batch.detect_batch`) evaluates the
-  whole template bank of B stacked CIRs as one batched FFT product over
-  a spectrum-cached :class:`~repro.core.plan.DetectorPlan` and —
+* the **engine** (:func:`repro.core.batch.detect_batch`) filters B
+  stacked CIRs through the cover as one batched FFT product over a
+  spectrum-cached :class:`~repro.core.plan.DetectorPlan`, scores the
+  other templates around each peak with one matrix product, and —
   because filtering is linear — realises step 5 as an O(L_template)
-  in-place update of the filter outputs: one short-window correlation
-  of every subtracted response with the bank
+  in-place update of the coarse outputs: one short-window correlation
+  of every subtracted response with the cover
   (:meth:`~repro.core.plan.DetectorPlan.subtract_responses`), instead
   of re-filtering the full CIR on every iteration.
   :meth:`SearchAndSubtract.detect` is a batch of one;
 * the **oracle** (:func:`detect_reference`) is the literal
-  transcription of the paper's steps: subtract from the working signal,
-  re-run every matched filter.  Tests call it directly to check the
-  engine.
+  transcription of the paper's steps with the same coarse-to-fine
+  rule: subtract from the working signal, re-run every matched filter.
+  Tests call it directly to check the engine.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.core.matched_filter import matched_filter
+from repro.core.plan import bank_cover
 from repro.runtime.metrics import global_metrics
 from repro.signal.pulses import Pulse
 from repro.signal.sampling import fft_upsample, place_pulse
@@ -121,15 +128,24 @@ class SearchAndSubtractConfig:
             raise ValueError(f"min_peak_snr must be >= 0, got {self.min_peak_snr}")
 
 
-def _parabolic_peak(magnitude: np.ndarray, index: int) -> float:
-    """Sub-sample peak refinement via a three-point parabola."""
-    if index <= 0 or index >= len(magnitude) - 1:
-        return float(index)
-    left, mid, right = magnitude[index - 1 : index + 2]
+def _parabolic_peaks(
+    window: np.ndarray, index: np.ndarray, length: int
+) -> np.ndarray:
+    """Sub-sample peak refinement via a three-point parabola.
+
+    ``window[..., :]`` holds the magnitudes at ``index - 1``, ``index``
+    and ``index + 1`` of a filter output of ``length`` samples.  A peak
+    on the first or last sample, or on a flat parabola, stays at
+    ``index``; the offset is clipped to half a sample.
+    """
+    left, mid, right = window[..., 0], window[..., 1], window[..., 2]
     denom = left - 2.0 * mid + right
-    if denom == 0.0:
-        return float(index)
-    return float(index + np.clip(0.5 * (left - right) / denom, -0.5, 0.5))
+    refine = (index > 0) & (index < length - 1) & (denom != 0.0)
+    offset = 0.5 * (left - right) / np.where(refine, denom, 1.0)
+    # minimum/maximum is np.clip without its per-call overhead, which
+    # counts here: this runs once per extraction iteration.
+    offset = np.minimum(np.maximum(offset, -0.5), 0.5)
+    return np.where(refine, index + offset, index)
 
 
 def _per_trial_noise(noise_std, n_trials: int) -> List[float]:
@@ -259,33 +275,6 @@ def _upsampled_templates(
     return resampled
 
 
-def _strongest_peak(
-    working: np.ndarray, templates: List[Pulse]
-) -> tuple[int, int, List[np.ndarray], np.ndarray] | None:
-    """Best (template, index) over all matched-filter outputs.
-
-    Returns ``(template_idx, peak_idx, outputs, magnitude)`` where
-    ``magnitude`` is the winning template's ``np.abs`` output — the
-    peak search already computed it, so callers must not recompute.
-    """
-    outputs = [matched_filter(working, template) for template in templates]
-    best_template = -1
-    best_index = -1
-    best_value = -np.inf
-    best_magnitude: np.ndarray | None = None
-    for i, output in enumerate(outputs):
-        magnitude = np.abs(output)
-        idx = int(np.argmax(magnitude))
-        if magnitude[idx] > best_value:
-            best_value = float(magnitude[idx])
-            best_template = i
-            best_index = idx
-            best_magnitude = magnitude
-    if best_template < 0 or best_value <= 0.0 or best_magnitude is None:
-        return None
-    return best_template, best_index, outputs, best_magnitude
-
-
 def detect_reference(
     cir: np.ndarray,
     templates: TemplateBank | Pulse | Sequence[Pulse],
@@ -298,9 +287,15 @@ def detect_reference(
     Same inputs and outputs as ``SearchAndSubtract(templates, config)
     .detect(cir, sampling_period_s, noise_std)``, computed the slow,
     obvious way — every iteration subtracts the estimated response from
-    the working signal and re-runs every matched filter.  The engine
-    (:func:`repro.core.batch.detect_batch`) is tested against it at
-    ``rtol <= 1e-9``.
+    the working signal and re-runs every matched filter.  Each
+    iteration's peak is the largest magnitude over the filters of the
+    bank's cover (:func:`repro.core.plan.bank_cover`); the response is
+    the largest magnitude over *every* filter within ``U`` fine samples
+    (one native tap) of that peak, taken template-major, so exact ties
+    go to the lowest template and then the lowest lag.  On a bank that
+    is its own cover this is the plain argmax over all filter outputs.
+    The engine (:func:`repro.core.batch.detect_batch`) is tested against
+    it at ``rtol <= 1e-9``.
     """
     global_metrics().counter("detector.naive_detects").inc()
     if isinstance(templates, Pulse):
@@ -311,8 +306,10 @@ def detect_reference(
         raise ValueError(f"expected a 1-D CIR, got shape {cir.shape}")
     factor = config.upsample_factor
     working = fft_upsample(cir, factor)
+    n_fine = len(working)
     period = sampling_period_s / factor
     fine = _upsampled_templates(list(templates), period)
+    cover = list(bank_cover(fine))
     # FFT interpolation preserves per-sample noise std; with unit-energy
     # templates the matched-filter output noise has (approximately) the
     # same std. Upsampled templates have their energy spread over
@@ -322,15 +319,27 @@ def detect_reference(
 
     responses: List[DetectedResponse] = []
     for _ in range(config.max_responses):
-        best = _strongest_peak(working, fine)
-        if best is None:
-            break
-        template_idx, peak_idx, outputs, magnitude = best
-        if gate > 0.0 and magnitude[peak_idx] < gate:
+        outputs = np.stack(
+            [matched_filter(working, template) for template in fine]
+        )
+        magnitudes = np.abs(outputs)
+        coarse_peak = int(np.argmax(magnitudes[cover])) % n_fine
+        low = max(0, coarse_peak - factor)
+        high = min(n_fine, coarse_peak + factor + 1)
+        template_idx, offset = np.unravel_index(
+            np.argmax(magnitudes[:, low:high]), (len(fine), high - low)
+        )
+        template_idx = int(template_idx)
+        peak_idx = low + int(offset)
+        best = magnitudes[template_idx, peak_idx]
+        if best <= 0.0 or (gate > 0.0 and best < gate):
             break
 
-        position = _parabolic_peak(magnitude, peak_idx)
-        amplitude = complex(outputs[template_idx][peak_idx])
+        window = magnitudes[template_idx].take(
+            [peak_idx - 1, peak_idx, peak_idx + 1], mode="clip"
+        )
+        position = float(_parabolic_peaks(window, peak_idx, n_fine))
+        amplitude = complex(outputs[template_idx, peak_idx])
         # Unit-energy templates at the upsampled rate spread their
         # energy over `factor` times more samples, which inflates
         # matched-filter amplitudes by sqrt(factor); report (and
@@ -338,7 +347,7 @@ def detect_reference(
         # value for the subtraction, which uses the fine template.
         scale = np.sqrt(factor)
         scores = tuple(
-            float(np.abs(out[peak_idx])) / scale for out in outputs
+            float(value) / scale for value in magnitudes[:, peak_idx]
         )
         responses.append(
             DetectedResponse(

@@ -16,15 +16,24 @@ upsampling factor — and keys it through :func:`repro.runtime.cache` so
 thousands of Monte-Carlo trials share one plan per process:
 
 * the templates resampled to the upsampled rate;
-* their conjugate spectra, zero-padded to one shared
+* the bank's *cover* (:func:`bank_cover`): the coarse channels the
+  engine searches, chosen so every template correlates at least
+  :data:`COVER_CORRELATION` with one of them.  Every bank the paper
+  uses is its own cover; the 96-shape swarm bank at U=4 is covered by
+  12 of its shapes;
+* the coarse channels' conjugate spectra, zero-padded to one shared
   ``scipy.fft.next_fast_len`` size and pre-multiplied with the
-  peak-anchoring phase ramp, so the whole bank is evaluated as **one**
-  forward FFT of the CIR times a 2-D spectrum matrix and **one** batched
-  inverse FFT;
+  peak-anchoring phase ramp, so the search runs as **one** forward FFT
+  of the CIR times a 2-D spectrum matrix and **one** batched inverse
+  FFT;
 * the same spectra at a short window size, which turn step 5 of the
-  paper's algorithm into an O(L_template) in-place update of all filter
+  paper's algorithm into an O(L_template) in-place update of the coarse
   outputs instead of an O(N log N) re-filtering of the whole CIR
-  (:meth:`DetectorPlan.subtract_responses`).
+  (:meth:`DetectorPlan.subtract_responses`);
+* the *scoring matrix*: the other templates' conjugate samples with
+  their peaks aligned, so one matrix product scores them around a
+  coarse peak (:mod:`repro.core.batch_extract` picks each response's
+  shape from the whole bank within one native tap of it).
 
 The plan itself is immutable and shared; the batched engine
 (:class:`repro.core.batch.BatchDetectorPlan`) wraps it with the
@@ -32,8 +41,9 @@ per-pass scratch buffers.
 
 Numerical contract: the batched evaluation is the *same* linear
 correlation the reference loop computes (zero-padded, never circular —
-the shared FFT length covers the full linear support), so engine and
-reference detections agree to floating-point roundoff.
+the shared FFT length covers the full linear support), and the engine
+applies the oracle's coarse-to-fine rule, so engine and reference
+detections agree to floating-point roundoff.
 ``tests/test_detection_fast.py`` enforces this across bank sizes, CIR
 lengths, and SNRs.
 """
@@ -51,7 +61,27 @@ from repro.runtime.metrics import global_metrics
 from repro.signal.pulses import Pulse
 from repro.signal.sampling import placed_segments
 
-__all__ = ["DetectorPlan", "detector_plan", "plan_cache_key"]
+__all__ = [
+    "COVER_CORRELATION",
+    "DetectorPlan",
+    "bank_cover",
+    "detector_plan",
+    "peak_correlations",
+    "plan_cache_key",
+]
+
+#: Peak-aligned correlation at which a coarse channel covers a template
+#: (:func:`bank_cover`).  The engine searches only the cover's channels
+#: and then picks each peak's shape from the whole bank within one
+#: native tap of the peak.  The closest pair of the paper's four shapes,
+#: 0xE6/0xF0, correlates at 0.983, so every bank the paper uses is its
+#: own cover and keeps the full-bank search; only near-duplicate shapes
+#: share a channel (adjacent shapes of the 96-shape swarm bank correlate
+#: at a median of 0.9995).  A looser cover searches fewer channels but
+#: identifies fewer responses: at 0.9 the swarm bank has 3 channels and
+#: ``swarm_scale(trials=3, seed=71)``'s 500-responder id rate falls from
+#: 0.403 to 0.389.
+COVER_CORRELATION = 0.99
 
 
 def _anchored_spectra(
@@ -74,6 +104,68 @@ def _anchored_spectra(
         ramp = np.exp(-2j * np.pi * freqs * template.peak_index)
         spectra[row] = np.conj(sp_fft.fft(template.samples, fft_length)) * ramp
     return spectra
+
+
+def _peak_aligned(templates: Sequence[Pulse]) -> Tuple[np.ndarray, int]:
+    """The templates' conjugate samples stacked with every peak in one
+    column.
+
+    Returns ``(stack, lead)``: row ``t`` of the complex
+    ``(n_templates, width)`` ``stack`` holds ``conj(templates[t].samples)``
+    with its peak sample in column ``lead`` and zeros around it.
+    """
+    peaks = [template.peak_index for template in templates]
+    lead = max(peaks)
+    width = lead + max(
+        len(template.samples) - peak
+        for template, peak in zip(templates, peaks)
+    )
+    stack = np.zeros((len(templates), width), dtype=complex)
+    for row, (template, peak) in enumerate(zip(templates, peaks)):
+        start = lead - peak
+        stack[row, start : start + len(template.samples)] = np.conj(
+            template.samples
+        )
+    return stack, lead
+
+
+def peak_correlations(templates: Sequence[Pulse]) -> np.ndarray:
+    """``|<s_i, s_j>|`` for every template pair, with their peaks aligned.
+
+    The Gram product of the peak-aligned stack.  The DW1000 shapes
+    correlate best with their peaks aligned, so for a bank at the
+    templates' rate this equals
+    :meth:`~repro.signal.templates.TemplateBank.cross_correlation_matrix`
+    (``tests/test_detection_fast.py`` holds it to 1e-12), for one
+    product instead of one ``np.correlate`` per pair.  ``einsum`` keeps
+    the product off BLAS, whose threaded calls can stall (see
+    :data:`repro.core.batch_extract.BLAS_BLOCK`): 9 ms for the 96-shape
+    bank at U=8, where a BLAS product in row blocks took 770 ms.
+    """
+    stack, _ = _peak_aligned(templates)
+    return np.abs(np.einsum("iw,jw->ij", stack, stack.conj()))
+
+
+def bank_cover(templates: Sequence[Pulse]) -> Tuple[int, ...]:
+    """The coarse channels of a bank: the template indices the engine
+    searches, ascending.
+
+    Every template correlates at least :data:`COVER_CORRELATION` with
+    one of them (:func:`peak_correlations`).  The walk goes through the
+    bank in order; the first template that no channel covers yet adds
+    the *last* template that covers it, which reaches furthest along a
+    bank ordered by pulse width.  A bank whose templates all correlate
+    below the threshold is its own cover.
+    """
+    close = peak_correlations(templates) >= COVER_CORRELATION
+    covered = np.zeros(len(templates), dtype=bool)
+    channels = []
+    for index in range(len(templates)):
+        if not covered[index]:
+            channel = int(np.flatnonzero(close[index])[-1])
+            channels.append(channel)
+            covered |= close[:, channel]
+    return tuple(sorted(channels))
 
 
 @dataclass(frozen=True)
@@ -99,20 +191,34 @@ class DetectorPlan:
         FFT upsampling factor ``U`` (1 means "filter at the native rate").
     n_fine:
         ``N * U`` — length of the upsampled working signal and of every
-        filter-bank output row.
+        filter output row.
+    coarse:
+        :func:`bank_cover` of ``templates``: the bank indices of the
+        channels the engine filters and searches, ascending.
     fft_length:
         Shared ``next_fast_len`` transform size covering the full linear
-        correlation support of the longest template.
+        correlation support of the longest coarse template.
     spectra:
-        ``(n_templates, fft_length)`` conjugate, peak-anchored template
-        spectra — the 2-D spectrum matrix of the batched filter bank.
+        ``(n_coarse, fft_length)`` conjugate, peak-anchored spectra of
+        the coarse channels — the 2-D spectrum matrix of the filter pass.
     small_fft_length:
         Transform size for the short update-window correlations.
     small_spectra:
-        ``(n_templates, small_fft_length)`` conjugate, peak-anchored
-        spectra used to correlate a placed segment against the bank.
+        ``(n_coarse, small_fft_length)`` conjugate, peak-anchored
+        spectra used to correlate a placed segment with the coarse
+        channels.
     max_template_length:
-        Longest fine-rate template (window-sizing constant).
+        Longest fine-rate template of the bank (window-sizing constant).
+    scored:
+        The bank indices outside the cover, ascending; empty when the
+        bank is its own cover.
+    scoring:
+        ``(width, n_scored)`` conjugate samples of the ``scored``
+        templates with every peak in row ``scoring_lead``: a ``width``
+        sample window of the working signal times this matrix is every
+        scored template's filter output at one lag.
+    scoring_lead:
+        Row of ``scoring`` holding every template's peak sample.
     """
 
     templates: Tuple[Pulse, ...]
@@ -121,11 +227,15 @@ class DetectorPlan:
     cir_length: int
     upsample_factor: int
     n_fine: int
+    coarse: Tuple[int, ...]
     fft_length: int
     spectra: np.ndarray
     small_fft_length: int
     small_spectra: np.ndarray
     max_template_length: int
+    scored: Tuple[int, ...]
+    scoring: np.ndarray
+    scoring_lead: int
 
     # -- construction --------------------------------------------------------
 
@@ -164,19 +274,28 @@ class DetectorPlan:
                 fine.append(template.resampled(target))
 
         n_fine = cir_length * upsample_factor
-        max_len = max(len(t.samples) for t in fine)
+        coarse = bank_cover(fine)
+        searched = [fine[t] for t in coarse]
         # Full linear-correlation support: with this padding the circular
         # product equals the zero-padded linear correlation everywhere,
         # including the negative lags that the peak anchoring folds in.
-        fft_length = sp_fft.next_fast_len(n_fine + max_len - 1)
-        spectra = _anchored_spectra(fine, fft_length)
+        fft_length = sp_fft.next_fast_len(
+            n_fine + max(len(t.samples) for t in searched) - 1
+        )
+        spectra = _anchored_spectra(searched, fft_length)
 
-        # Short-window transform: must hold a placed segment (longest
-        # template plus one padding sample) and one template footprint of
-        # lag on either side without circular aliasing.
+        # Short-window transform: must hold a placed segment (the bank's
+        # longest template plus one padding sample, since any template
+        # may win a peak) and one template footprint of lag on either
+        # side without circular aliasing.
+        max_len = max(len(t.samples) for t in fine)
         seg_max = max_len + 1
         small_fft_length = sp_fft.next_fast_len(2 * max_len + seg_max)
-        small_spectra = _anchored_spectra(fine, small_fft_length)
+        small_spectra = _anchored_spectra(searched, small_fft_length)
+
+        scored = tuple(t for t in range(len(fine)) if t not in coarse)
+        stack, lead = _peak_aligned(fine)
+        scoring = np.ascontiguousarray(stack[list(scored)].T)
 
         return cls(
             templates=tuple(fine),
@@ -185,12 +304,27 @@ class DetectorPlan:
             cir_length=int(cir_length),
             upsample_factor=int(upsample_factor),
             n_fine=n_fine,
+            coarse=coarse,
             fft_length=fft_length,
             spectra=spectra,
             small_fft_length=small_fft_length,
             small_spectra=small_spectra,
             max_template_length=max_len,
+            scored=scored,
+            scoring=scoring,
+            scoring_lead=lead,
         )
+
+    @property
+    def residual_margin(self) -> int:
+        """Zero samples on either side of a residual row.
+
+        A residual row holds the working signal at
+        ``[residual_margin, residual_margin + n_fine)``; the margin keeps
+        every scoring window within one native tap of a buffer sample
+        inside the row.
+        """
+        return self.scoring.shape[0] + self.upsample_factor + 1
 
     # -- incremental search-and-subtract updates -----------------------------
 
@@ -202,14 +336,18 @@ class DetectorPlan:
         template_indices: Sequence[int],
         positions: Sequence[float],
         amplitudes: Sequence[complex],
+        residual: np.ndarray | None = None,
     ) -> None:
         """Apply step 5 of the paper's algorithm to one response per row.
 
-        ``outputs`` is a ``(B, n_templates, n_fine)`` filter-bank output
-        tensor and ``magnitudes`` its ``np.abs``.  For every ``k``, row
-        ``rows[k]`` loses the response of template ``template_indices[k]``
-        peaking at fine-rate ``positions[k]`` with raw filter amplitude
-        ``amplitudes[k]``; the two tensors are updated in place.
+        ``outputs`` is a ``(B, n_coarse, n_fine)`` tensor of coarse
+        filter outputs and ``magnitudes`` its ``np.abs``.  For every
+        ``k``, row ``rows[k]`` loses the response of bank template
+        ``template_indices[k]`` peaking at fine-rate ``positions[k]``
+        with raw filter amplitude ``amplitudes[k]``; the two tensors are
+        updated in place, and so is ``residual`` (the
+        ``(B, n_fine + 2 * residual_margin)`` working signals) when
+        given.
 
         The reference detector places ``-amplitude * template`` into the
         working signal (via :func:`repro.signal.sampling.place_pulse`)
@@ -221,10 +359,10 @@ class DetectorPlan:
         (:func:`repro.signal.sampling.placed_segments`: the pulse itself
         at an integer position, its fractional shift otherwise, clipped
         at the buffer edges) in one ``(R, max_template_length + 1)``
-        array, correlates every row with the bank in one ``(R, m)``
-        forward and one ``(R, n_templates, m)`` inverse FFT at the short
-        window size ``m``, and subtracts each row's window.  A response
-        placed entirely outside the signal changes nothing.
+        array, correlates every row with the coarse channels in one
+        ``(R, m)`` forward and one ``(R, n_coarse, m)`` inverse FFT at
+        the short window size ``m``, and subtracts each row's window.  A
+        response placed entirely outside the signal changes nothing.
         """
         max_len = self.max_template_length
         lead = max_len - 1
@@ -262,6 +400,7 @@ class DetectorPlan:
             axis=2,
             overwrite_x=True,
         )
+        margin = self.residual_margin
         for k, (row, origin, count) in enumerate(zip(rows, origins, counts)):
             if count == 0:
                 continue
@@ -276,6 +415,11 @@ class DetectorPlan:
                 amplitudes[k] * aligned[k, :, : b - origin]
             )
             np.abs(outputs[row, :, a:b], out=magnitudes[row, :, a:b])
+            if residual is not None:
+                start = margin + origin
+                residual[row, start : start + count] -= (
+                    amplitudes[k] * placed[k, :count]
+                )
 
 
 def _template_key(template: Pulse) -> tuple:

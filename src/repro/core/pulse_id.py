@@ -7,11 +7,17 @@ amplitude estimate ``alpha_hat_{k,i}`` — that template's index *is* the
 responder's (partial) identity.
 
 The classifier runs the search-and-subtract engine with a
-multi-template bank: at each iteration the strongest peak across *all*
-filter outputs wins, its template is recorded, and the correct template
-is subtracted, so classification and detection reinforce each other
-exactly as in the paper.  :func:`classify_responses` is the decision
-core; :meth:`PulseShapeClassifier.classify` is a batch of one through
+multi-template bank.  Each iteration finds the strongest peak over the
+bank's cover (:func:`repro.core.plan.bank_cover`: every template
+correlates at least 0.99 with one of its channels), then scores every
+template of the bank within one native tap of that peak; the best
+(template, lag) is the response, its template is recorded, and that
+template is subtracted, so classification and detection reinforce each
+other.  Every bank the paper uses is its own cover, so there the peak
+is the strongest over *all* filter outputs, as in the paper; only
+near-duplicate shapes (the 96-shape swarm bank) share a search channel.
+:func:`classify_responses` is the decision core;
+:meth:`PulseShapeClassifier.classify` is a batch of one through
 :func:`repro.core.batch_id.classify_batch`.
 """
 
@@ -101,7 +107,14 @@ def classify_responses(
 
 
 class PulseShapeClassifier:
-    """Joint detection + shape classification over a template bank."""
+    """Joint detection + shape classification over a template bank.
+
+    Detection searches the bank's cover and picks each response's shape
+    from the whole bank within one native tap of the detected peak (see
+    the module docstring); each response's ``scores`` hold every
+    template's amplitude at the picked lag, and
+    :func:`classify_responses` decodes the shape from them.
+    """
 
     def __init__(
         self,

@@ -186,7 +186,7 @@ def run(
             partial(_separation_batch, separation_ns=separation),
             workload=WorkloadShape(
                 cir_length=CIR_LENGTH,
-                bank_size=1,
+                channels=1,
                 upsample_factor=_SEARCH_CONFIG.upsample_factor,
             ),
         )

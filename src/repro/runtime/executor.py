@@ -89,15 +89,18 @@ class WorkloadShape:
 
     ``batch_size="auto"`` resolves through :func:`choose_batch_size`,
     which needs the shape of the per-trial engine call: the native CIR
-    length, the template-bank size, and the upsampling factor (the three
-    knobs that size the ``(B, n_templates, fft_length)`` batch scratch
-    buffers).  A :class:`BatchTrial` that carries its workload shape
-    opts in to auto batch sizing; one without it runs unbatched under
-    ``"auto"``.
+    length, the number of filter channels the engine searches, and the
+    upsampling factor (the three knobs that size the
+    ``(B, channels, fft_length)`` batch scratch buffers).  The channels
+    are the template bank's cover (``len(detector_plan(...).coarse)``,
+    see :func:`repro.core.plan.bank_cover`), not the bank size: the
+    96-shape swarm bank at U=4 searches 12.  A :class:`BatchTrial` that
+    carries its workload shape opts in to auto batch sizing; one
+    without it runs unbatched under ``"auto"``.
     """
 
     cir_length: int
-    bank_size: int
+    channels: int
     upsample_factor: int = 8
 
     def __post_init__(self) -> None:
@@ -105,8 +108,8 @@ class WorkloadShape:
             raise ValueError(
                 f"cir_length must be >= 1, got {self.cir_length}"
             )
-        if self.bank_size < 1:
-            raise ValueError(f"bank_size must be >= 1, got {self.bank_size}")
+        if self.channels < 1:
+            raise ValueError(f"channels must be >= 1, got {self.channels}")
         if self.upsample_factor < 1:
             raise ValueError(
                 f"upsample_factor must be >= 1, got {self.upsample_factor}"
@@ -114,7 +117,7 @@ class WorkloadShape:
 
 
 #: Scratch-memory ceiling for one batched engine pass (the
-#: ``(B, n_templates, fft_length)`` complex product buffer plus its
+#: ``(B, channels, fft_length)`` complex product buffer plus its
 #: inverse-transform output) used by :func:`choose_batch_size`.
 MAX_BATCH_SCRATCH_BYTES = 256 * 1024 * 1024
 
@@ -127,22 +130,26 @@ MAX_AUTO_BATCH = 64
 def choose_batch_size(
     n_trials: int,
     cir_length: int,
-    bank_size: int,
+    channels: int,
     workers: int = 1,
     *,
     upsample_factor: int = 8,
 ) -> int:
     """Pick a batch size from the workload shape (``batch_size="auto"``).
 
-    The heuristic balances three pressures:
+    ``channels`` is the number of filter channels the engine searches:
+    the template bank's cover, which is the whole bank for every bank
+    the paper uses and 12 of the 96-shape swarm bank's shapes at U=4
+    (:class:`WorkloadShape`).  The heuristic balances three pressures:
 
     * **Enough trials per group.**  Each worker sees roughly
       ``n_trials / workers`` trials; a batch larger than that degrades
       into one short group per worker and gains nothing.
     * **Bounded scratch memory.**  One batched pass materialises two
-      ``(B, bank_size, ~2 * cir_length * upsample_factor)`` complex
+      ``(B, channels, ~2 * cir_length * upsample_factor)`` complex
       tensors (spectrum product + inverse-transform output); B is capped
-      so they stay under :data:`MAX_BATCH_SCRATCH_BYTES`.
+      so they stay under :data:`MAX_BATCH_SCRATCH_BYTES`.  For 1016-tap
+      CIRs at U=4 that allows B=64 up to 16 channels.
     * **Diminishing returns.**  Past :data:`MAX_AUTO_BATCH` the
       forward/inverse transforms are already fully amortised (a B=64
       pass over 64 Table I CIRs makes a few dozen transform calls
@@ -157,12 +164,12 @@ def choose_batch_size(
     :class:`BatchTrial` equivalence contract, equals the
     ``batch_size=1`` run anyway).
     """
-    if n_trials <= 1 or cir_length < 1 or bank_size < 1:
+    if n_trials <= 1 or cir_length < 1 or channels < 1:
         return 1
-    # Two complex (B, bank, padded-length) tensors; the padded FFT
+    # Two complex (B, channels, padded-length) tensors; the padded FFT
     # length is ~2x the upsampled CIR length (next_fast_len of the full
     # linear-correlation support).
-    bytes_per_trial = 2 * 16 * bank_size * 2 * cir_length * upsample_factor
+    bytes_per_trial = 2 * 16 * channels * 2 * cir_length * upsample_factor
     memory_cap = max(1, int(MAX_BATCH_SCRATCH_BYTES // max(1, bytes_per_trial)))
     per_worker = max(1, n_trials // max(1, workers))
     batch = min(MAX_AUTO_BATCH, memory_cap, per_worker)
@@ -297,7 +304,7 @@ def _resolve_batch_size(
     return choose_batch_size(
         n_trials,
         shape.cir_length,
-        shape.bank_size,
+        shape.channels,
         workers,
         upsample_factor=shape.upsample_factor,
     )

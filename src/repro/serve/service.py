@@ -44,6 +44,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Union
 
 from repro.constants import CIR_LENGTH_PRF64
+from repro.core.plan import bank_cover
 from repro.protocol.defense import DefensePlan, screen_responses
 from repro.runtime.executor import choose_batch_size
 from repro.runtime.metrics import MetricsRegistry
@@ -318,17 +319,23 @@ class RangingService:
     def _resolve_batch_size(self) -> int:
         if self.config.batch_size != "auto":
             return int(self.config.batch_size)
-        cir_length = self.engine.cir_length or CIR_LENGTH_PRF64
+        engine = self.engine
+        factor = engine.config.upsample_factor
+        # The scratch scales with the channels the engine searches (the
+        # bank's cover at the fine rate), not with the bank size.
+        cover = bank_cover(
+            engine.bank.resampled(engine.sampling_period_s / factor)
+        )
         # Auto-sizing reuses the runtime's workload heuristic: the
         # "trials" a shard can see at once is its queue depth, and each
         # shard sizes independently (workers=1) because shards do not
         # share batches.
         return choose_batch_size(
             self.config.queue_depth,
-            cir_length,
-            len(self.engine.bank),
+            engine.cir_length or CIR_LENGTH_PRF64,
+            len(cover),
             workers=1,
-            upsample_factor=self.engine.config.upsample_factor,
+            upsample_factor=factor,
         )
 
     # -- lifecycle -----------------------------------------------------------

@@ -2,8 +2,28 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+
+# When a hypothesis test fails, hypothesis imports
+# ``hypothesis.extra._patching`` to write a patch, and its ``libcst``
+# import warns "mypy_extensions.TypedDict is deprecated".  Under
+# ``-W error::DeprecationWarning`` that warning ended the session in
+# INTERNALERROR before the falsifying example was printed.  Import the
+# module here with only that warning ignored; every other
+# DeprecationWarning stays an error.
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore",
+        message="mypy_extensions.TypedDict is deprecated",
+        category=DeprecationWarning,
+    )
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from repro.constants import CIR_SAMPLING_PERIOD_S
 from repro.signal.pulses import dw1000_pulse

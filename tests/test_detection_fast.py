@@ -15,17 +15,23 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.constants import CIR_SAMPLING_PERIOD_S as TS
-from repro.core.batch import private_plan
+from repro.core.batch import detect_batch, private_plan
 from repro.core.detection import (
     SearchAndSubtract,
     SearchAndSubtractConfig,
     detect_reference,
 )
 from repro.core.matched_filter import matched_filter
-from repro.core.plan import DetectorPlan, detector_plan
+from repro.core.plan import (
+    COVER_CORRELATION,
+    DetectorPlan,
+    bank_cover,
+    detector_plan,
+    peak_correlations,
+)
 from repro.runtime.cache import clear_all_caches, get_cache
 from repro.signal.pulses import Pulse
 from repro.signal.sampling import fft_upsample, place_pulse
@@ -183,6 +189,50 @@ class TestFastNaiveEquivalence:
         )
         assert fast == [] and naive == []
 
+    @pytest.mark.parametrize("upsample_factor", (1, 4))
+    @pytest.mark.parametrize("n_templates", (16, 32, 96))
+    def test_covered_banks(self, n_templates, upsample_factor):
+        """Banks with near-duplicate shapes are searched on their cover
+        and each shape is picked within one tap of the coarse peak: a
+        B=2 pass equals the oracle's rule row by row, with a pulse
+        hanging off each buffer edge, and some responses are won by
+        templates outside the cover."""
+        rng = np.random.default_rng(n_templates + upsample_factor)
+        bank = TemplateBank.spread(n_templates)
+        cirs = np.stack(
+            [
+                synth_cir(
+                    rng, 1016, bank, 1e-3,
+                    [
+                        (
+                            int(rng.integers(n_templates)),
+                            position,
+                            rng.uniform(0.4, 1.0)
+                            * np.exp(2j * np.pi * rng.random()),
+                        )
+                        for position in [
+                            rng.uniform(-4.0, 10.0),
+                            *rng.uniform(20.0, 996.0, 4),
+                            rng.uniform(1006.0, 1020.0),
+                        ]
+                    ],
+                )
+                for _ in range(2)
+            ]
+        )
+        config = SearchAndSubtractConfig(
+            max_responses=8, upsample_factor=upsample_factor
+        )
+        fast = detect_batch(cirs, bank, TS, config, noise_std=1e-3)
+        for row, cir in zip(fast, cirs):
+            assert_equivalent(
+                row, detect_reference(cir, bank, TS, config, noise_std=1e-3)
+            )
+        plan = detector_plan(list(bank), 1016, upsample_factor, TS)
+        assert len(plan.coarse) < n_templates
+        winners = {r.template_index for row in fast for r in row}
+        assert winners - set(plan.coarse)
+
 
 class TestEarlyStopGate:
     def test_min_peak_snr_stops_fast_path(self):
@@ -297,6 +347,33 @@ class TestPlanInternals:
             assert np.allclose(
                 row, matched_filter(working, template), rtol=RTOL, atol=1e-12
             )
+        assert plan.residual is None
+
+    def test_covered_filter_pass_keeps_residual(self):
+        """On a bank with templates outside its cover, the filter pass
+        filters the coarse channels only and keeps the upsampled CIR,
+        between zero margins, as the residual the local pick scores."""
+        rng = np.random.default_rng(2)
+        factor = 4
+        cir = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+        working = fft_upsample(cir, factor)
+        plan = private_plan(_spread_bank(32), 200, factor, TS)
+        outputs = plan.filter_pass(cir[np.newaxis, :])[0]
+        coarse = plan.base.coarse
+        assert outputs.shape == (len(coarse), 200 * factor) and len(coarse) < 32
+        for row, t in zip(outputs, coarse):
+            assert np.allclose(
+                row,
+                matched_filter(working, plan.base.templates[t]),
+                rtol=RTOL,
+                atol=1e-12,
+            )
+        margin = plan.base.residual_margin
+        assert np.allclose(
+            plan.residual[0, margin:-margin], working, rtol=RTOL, atol=1e-12
+        )
+        assert not plan.residual[0, :margin].any()
+        assert not plan.residual[0, -margin:].any()
 
     def test_subtract_response_matches_refilter(self, paper_bank):
         """The incremental update equals subtract-then-refilter."""
@@ -352,8 +429,9 @@ class TestPlanInternals:
     ):
         """One batched step-5 update equals place_pulse + re-filtering
         on every row, for integer, fractional, edge-clipped and
-        fully-outside placements of templates of different lengths;
-        rows it does not touch stay byte-identical."""
+        fully-outside placements of templates of different lengths, and
+        the residual loses exactly what place_pulse subtracts; rows it
+        does not touch stay byte-identical."""
         rng = np.random.default_rng(seed)
         bank = _spread_bank(n_templates)
         plan = DetectorPlan.build(bank, cir_length, factor, TS)
@@ -365,6 +443,9 @@ class TestPlanInternals:
         outputs = np.stack([filter_bank(plan, w) for w in workings])
         magnitudes = np.abs(outputs)
         expected = outputs.copy()
+        margin = plan.residual_margin
+        residual = np.pad(workings, ((0, 0), (margin, margin)))
+        expected_residual = residual.copy()
         rows = rng.permutation(len(kinds))
         template_indices = rng.integers(n_templates, size=len(kinds))
         amplitudes = rng.standard_normal(len(kinds)) + 1j * (
@@ -405,26 +486,67 @@ class TestPlanInternals:
                 peak_index=template.peak_index,
             )
             expected[row] = filter_bank(plan, working)
+            expected_residual[row, margin:-margin] = working
             if kind == "outside":
                 expected[row] = outputs[row]
         untouched = [
             row for row, kind in zip(rows, kinds) if kind == "outside"
         ] + [len(kinds)]
         before = outputs[untouched].copy()
+        residual_before = residual[untouched].copy()
 
         plan.subtract_responses(
-            outputs, magnitudes, rows, template_indices, positions, amplitudes
+            outputs, magnitudes, rows, template_indices, positions,
+            amplitudes, residual,
         )
         assert np.allclose(outputs, expected, rtol=RTOL, atol=1e-12)
         assert np.array_equal(outputs[untouched], before)
         assert np.array_equal(magnitudes, np.abs(outputs))
+        assert np.allclose(residual, expected_residual, rtol=RTOL, atol=1e-12)
+        assert np.array_equal(residual[untouched], residual_before)
+        assert not residual[:, :margin].any()
+        assert not residual[:, -margin:].any()
 
     def test_96_shape_plan_is_small(self):
-        """The swarm's 96-shape plan (1016 taps, U=4) holds the filter
-        bank's spectra and nothing of the order of a template-pair
-        table: under 16 MiB of arrays in all."""
+        """The swarm's 96-shape plan (1016 taps, U=4) holds the spectra
+        of its 12 coarse channels, the 96 fine templates and the
+        scoring matrix of the other 84: under 2 MiB of arrays in all
+        (7.9 MiB with spectra for all 96 filters)."""
         plan = DetectorPlan.build(_spread_bank(96), 1016, 4, TS)
-        assert _array_bytes(plan) < 16 * 2**20
+        assert len(plan.coarse) == 12
+        assert plan.scoring.shape[1] == 84
+        assert _array_bytes(plan) < 2 * 2**20
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(("paper", "spread")),
+        count=st.integers(1, 96),
+        factor=st.sampled_from((1, 4, 8)),
+    )
+    @example(kind="spread", count=96, factor=4)
+    @example(kind="paper", count=4, factor=8)
+    def test_bank_cover(self, kind, count, factor):
+        """Every template correlates at least COVER_CORRELATION with a
+        coarse channel; the Gram product equals the bank's
+        cross-correlation matrix at the fine rate; the paper's banks
+        and spread banks of up to 12 shapes are their own cover."""
+        if kind == "paper":
+            count = 1 + count % 4
+            bank = TemplateBank.paper_bank(count)
+        else:
+            bank = TemplateBank.spread(count)
+        fine = bank.resampled(TS / factor)
+        correlations = peak_correlations(list(fine))
+        np.testing.assert_allclose(
+            correlations, fine.cross_correlation_matrix(), rtol=0, atol=1e-12
+        )
+        cover = bank_cover(list(fine))
+        assert list(cover) == sorted(set(cover))
+        assert np.all(
+            correlations[:, list(cover)].max(axis=1) >= COVER_CORRELATION
+        )
+        if kind == "paper" or count <= 12:
+            assert cover == tuple(range(count))
 
     def test_build_validates_inputs(self, paper_bank):
         with pytest.raises(ValueError):

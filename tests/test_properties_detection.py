@@ -42,7 +42,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.constants import CIR_SAMPLING_PERIOD_S
 from repro.core.batch import BatchDetectorPlan, batch_detector_plan, detect_batch
-from repro.core.batch_id import classify_batch
+from repro.core.batch_id import ClassifyBatchTrial, classify_batch
 from repro.core.detection import (
     SearchAndSubtract,
     SearchAndSubtractConfig,
@@ -55,7 +55,7 @@ from repro.core.threshold import (
     ThresholdDetector,
     detect_threshold_reference,
 )
-from repro.runtime import MetricsRegistry, run_trials
+from repro.runtime import MetricsRegistry, choose_batch_size, run_trials
 from repro.runtime.cache import clear_all_caches
 from repro.runtime.metrics import global_metrics
 from repro.signal.pulses import dw1000_pulse
@@ -456,7 +456,7 @@ class TestClassifierEnginesAgree:
         clipped=st.booleans(),
     )
     def test_batched_matches_serial(self, seed, length, batch, clipped):
-        from repro.core.batch_id import classify_batch
+        from repro.core.batch_id import ClassifyBatchTrial, classify_batch
         from repro.core.pulse_id import PulseShapeClassifier
 
         bank = TemplateBank.paper_bank(3)
@@ -510,7 +510,7 @@ class TestClassifierEnginesAgree:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), length=st.sampled_from(_LENGTHS))
     def test_per_trial_noise_vector_matches_scalar_calls(self, seed, length):
-        from repro.core.batch_id import classify_batch
+        from repro.core.batch_id import ClassifyBatchTrial, classify_batch
         from repro.core.pulse_id import PulseShapeClassifier
 
         bank = TemplateBank.paper_bank(2)
@@ -528,14 +528,14 @@ class TestClassifierEnginesAgree:
             self._assert_classified_close(got, want)
 
     def test_empty_batch_returns_empty(self):
-        from repro.core.batch_id import classify_batch
+        from repro.core.batch_id import ClassifyBatchTrial, classify_batch
 
         assert classify_batch(np.zeros((0, 256)), _BANK, TS) == []
 
     def test_single_trial_batch_equals_serial(self):
         """B=1: the degenerate batch must round-trip the serial result
         (and must not be served a single-CIR or detector-family plan)."""
-        from repro.core.batch_id import classify_batch
+        from repro.core.batch_id import ClassifyBatchTrial, classify_batch
         from repro.core.pulse_id import PulseShapeClassifier
 
         rng = np.random.default_rng(7)
@@ -553,7 +553,7 @@ class TestClassifierEnginesAgree:
     def test_single_template_bank_confidence_infinite(self):
         """A 1-template bank has no runner-up: confidence is inf on both
         paths and every response maps to shape 0."""
-        from repro.core.batch_id import classify_batch
+        from repro.core.batch_id import ClassifyBatchTrial, classify_batch
 
         bank = TemplateBank.paper_bank(1)
         rng = np.random.default_rng(11)
@@ -592,13 +592,13 @@ class TestClassifierEnginesAgree:
         assert classified.confidence == pytest.approx(1.0)
 
     def test_1d_input_rejected_with_guidance(self):
-        from repro.core.batch_id import classify_batch
+        from repro.core.batch_id import ClassifyBatchTrial, classify_batch
 
         with pytest.raises(ValueError, match="np.newaxis"):
             classify_batch(np.zeros(256, dtype=complex), _BANK, TS)
 
     def test_empty_bank_rejected(self):
-        from repro.core.batch_id import classify_batch
+        from repro.core.batch_id import ClassifyBatchTrial, classify_batch
 
         with pytest.raises(ValueError, match="non-empty"):
             classify_batch(np.zeros((2, 256)), [], TS)
@@ -838,6 +838,116 @@ class TestBatchSpeedup:
         assert batch_calls <= self.MAX_CALL_SHARE * loop_calls, (
             batch_calls, loop_calls,
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _swarm_cirs() -> np.ndarray:
+    """2 swarm-shaped CIRs: 12 pulses of the 96-shape bank each, at
+    random fractional positions, plus white noise."""
+    bank = TemplateBank.spread(96)
+    rng = np.random.default_rng(96)
+    cirs = np.zeros((2, 1016), dtype=complex)
+    for cir in cirs:
+        for position in np.sort(rng.uniform(16.0, 1000.0, 12)):
+            template = bank[int(rng.integers(96))]
+            amplitude = rng.uniform(0.4, 1.0) * np.exp(
+                2j * np.pi * rng.random()
+            )
+            place_pulse(
+                cir,
+                template.samples.astype(complex),
+                position,
+                amplitude=amplitude,
+                peak_index=template.peak_index,
+            )
+        cir += 1e-3 * (
+            rng.standard_normal(1016) + 1j * rng.standard_normal(1016)
+        ) / np.sqrt(2.0)
+    cirs.setflags(write=False)
+    return cirs
+
+
+class TestCoarseSearchWork:
+    """A swarm-shaped pass transforms far fewer points than a search
+    over every filter of the bank.
+
+    One ``classify_batch`` pass at the swarm shape — B=2 CIRs of 1016
+    taps, ``TemplateBank.spread(96)``, U=4, 16 responses per row — is
+    counted in ``fft``/``ifft`` output points through ``scipy.fft`` and
+    ``numpy.fft``, a count that depends only on the CIRs and the bank.
+    Searching and updating all 96 filters made 3,558,736 points on
+    these CIRs; the search over the bank's 12-channel cover makes
+    495,424.  A cover equal to the whole bank fails the bound.
+    """
+
+    #: The full-bank search's count on ``_swarm_cirs()``.
+    FULL_BANK_POINTS = 3_558_736
+
+    @staticmethod
+    def _count_points(monkeypatch):
+        """Count the output points of every later ``fft``/``ifft``."""
+        points = [0]
+        for module in (scipy.fft, np.fft):
+            for name in ("fft", "ifft"):
+                def counted(*args, _transform=getattr(module, name), **kw):
+                    out = _transform(*args, **kw)
+                    points[0] += out.size
+                    return out
+
+                monkeypatch.setattr(module, name, counted)
+        return points
+
+    def test_swarm_pass_transforms_a_quarter_of_the_points(
+        self, monkeypatch
+    ):
+        bank = TemplateBank.spread(96)
+        config = SearchAndSubtractConfig(max_responses=16, upsample_factor=4)
+        cirs = _swarm_cirs()
+
+        def one_pass():
+            rows = classify_batch(cirs, bank, TS, config, noise_std=1e-3)
+            assert [len(row) for row in rows] == [16, 16]
+
+        one_pass()  # builds the plan; a build is paid once per process
+        points = self._count_points(monkeypatch)
+        one_pass()
+        first = points[0]
+        one_pass()
+        assert points[0] - first == first
+        assert first <= self.FULL_BANK_POINTS / 4, first
+
+
+def _never_called(*args):
+    raise AssertionError("only the workload shape is read")
+
+
+class TestAutoBatchSize:
+    @pytest.mark.parametrize(
+        "bank, factor, channels",
+        [(TemplateBank.spread(96), 4, 12), (TemplateBank.paper_bank(3), 8, 3)],
+        ids=["swarm", "table1"],
+    )
+    def test_auto_batch_is_sized_by_filter_channels(
+        self, bank, factor, channels
+    ):
+        """``batch_size="auto"`` scales with the channels the engine
+        searches, not the bank size: a 96-shape trial at U=4 gets B=64
+        (B=8 when sized by its 96 shapes), as Table I's 3-shape one
+        does."""
+        trial = ClassifyBatchTrial(
+            _never_called,
+            _never_called,
+            bank,
+            TS,
+            SearchAndSubtractConfig(upsample_factor=factor),
+            cir_length=1016,
+        )
+        shape = trial.workload
+        assert shape.channels == channels
+        assert choose_batch_size(
+            200, shape.cir_length, shape.channels,
+            upsample_factor=shape.upsample_factor,
+        ) == 64
 
 
 def _plan_reuse_trial(rng, index):
