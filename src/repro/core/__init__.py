@@ -14,8 +14,8 @@
   detected responses from the coarse outputs.
 * :mod:`repro.core.batch` — the one detection engine: B CIRs of one
   shape through a single 2-D FFT pass over the cover
-  (:func:`~repro.core.batch.detect_batch`); ``detect()`` is a batch of
-  one.
+  (:func:`~repro.core.batch.detect_batch`) on per-thread scratch;
+  ``detect()`` is a batch of one.
 * :mod:`repro.core.batch_extract` — the batch-vectorised
   search-and-subtract extraction loop of that engine: search the
   cover, pick each peak's shape from the whole bank within one native
@@ -44,13 +44,8 @@ from repro.core.detection import (
     SearchAndSubtractConfig,
     detect_reference,
 )
-from repro.core.plan import DetectorPlan, detector_plan, plan_cache_key
-from repro.core.batch import (
-    BatchDetectorPlan,
-    batch_detector_plan,
-    detect_batch,
-    private_plan,
-)
+from repro.core.plan import DetectorPlan, detector_plan
+from repro.core.batch import detect_batch
 from repro.core.threshold import (
     ThresholdDetector,
     ThresholdConfig,
@@ -75,18 +70,14 @@ from repro.core.scheme import CombinedScheme, ResponderAssignment
 
 __all__ = [
     "matched_filter",
-    "BatchDetectorPlan",
     "ClassifyBatchTrial",
     "DetectorPlan",
-    "batch_detector_plan",
     "classify_batch",
     "classify_responses",
     "detect_batch",
     "detect_reference",
     "detect_threshold_reference",
     "detector_plan",
-    "plan_cache_key",
-    "private_plan",
     "DetectedResponse",
     "SearchAndSubtract",
     "SearchAndSubtractConfig",

@@ -32,17 +32,23 @@ evaluates a row of a 2-D transform with the same kernel as the 1-D
 call, the local pick scores each row with its own matrix product, and
 extraction decides each row from that row alone.
 
-Batch plans are memoised per ``(bank, CIR length, factor, B)`` shape in
-the same ``detector_plans`` cache as the shared :class:`DetectorPlan`;
-the key *includes* the batch size (see
-:func:`repro.core.plan.plan_cache_key`), so a B=64 plan — which carries
-``(B, n_coarse, fft_length)`` scratch buffers — is never served to
-another batch size.
+Each thread runs its passes on its own scratch (:func:`filter_pass`):
+the product, magnitude, upsampling-pad and — for a bank with templates
+outside its cover — residual buffers of the last
+:class:`~repro.core.plan.DetectorPlan` the thread ran, grown to the
+largest B it has run on that plan and replaced when it runs another
+plan.  A B-row pass works on leading-axis ``[:B]`` views of them, so a
+B=64 Table I pass reuses its tens of megabytes instead of allocating
+them on every call, while the ``detector_plans`` cache holds only
+immutable plans: :func:`detect_batch` and
+:func:`~repro.core.batch_id.classify_batch` are safe to call from
+several threads at once.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import threading
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -53,22 +59,11 @@ from repro.core.detection import (
     SearchAndSubtractConfig,
     _per_trial_noise,
 )
-from repro.core.plan import (
-    DetectorPlan,
-    _template_key,
-    detector_plan,
-    plan_cache_key,
-)
-from repro.runtime.cache import get_cache
+from repro.core.plan import DetectorPlan, detector_plan
 from repro.runtime.metrics import global_metrics
 from repro.signal.pulses import Pulse
 
-__all__ = [
-    "BatchDetectorPlan",
-    "batch_detector_plan",
-    "detect_batch",
-    "private_plan",
-]
+__all__ = ["detect_batch", "filter_pass"]
 
 #: Pass counter per engine prefix.  Each pass is counted and timed once,
 #: under the prefix of the entry point that ran it.
@@ -78,209 +73,119 @@ _PASS_COUNTERS = {
 }
 
 
-class BatchDetectorPlan:
-    """A :class:`DetectorPlan` extended with batch-shaped scratch.
+class _Workspace:
+    """One thread's engine scratch for one plan, with room for ``rows``
+    CIRs: at B=64 x 4 channels x ~9.4k bins, tens of megabytes that a
+    pass must not reallocate."""
 
-    Wraps the (cached, immutable) base plan and adds what only makes
-    sense for a fixed batch size B: preallocated
-    ``(B, n_coarse, fft_length)`` complex and
-    ``(B, n_coarse, n_fine)`` float scratch, which at B=64 x 4
-    channels x ~9.4k bins is tens of megabytes we do not want to
-    reallocate on every engine pass, plus — when the bank has templates
-    outside its cover — the ``(B, n_fine + 2 * residual_margin)``
-    residual the local pick scores them on.
-
-    The scratch is mutated on every pass, so a batch plan is neither
-    shape-interchangeable nor thread-safe: :meth:`filter_pass`,
-    :meth:`magnitudes` and :attr:`residual` hand out views into it that
-    stay valid — and freely mutable, the extraction loop writes into
-    them — only until the next pass on the same plan.  A cached plan is
-    shared by every same-shape caller in the process, so concurrent
-    passes (threads, a serving shard pool, :meth:`SearchAndSubtract.detect
-    <repro.core.detection.SearchAndSubtract.detect>`) each run on a
-    :func:`private_plan` instead.
-    """
-
-    def __init__(self, base: DetectorPlan, batch_size: int) -> None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.base = base
-        self.batch_size = int(batch_size)
-        self._product = np.empty(
-            (self.batch_size, len(base.coarse), base.fft_length),
-            dtype=complex,
+    def __init__(self, plan: DetectorPlan, rows: int) -> None:
+        self.plan = plan
+        self.rows = rows
+        channels = len(plan.coarse)
+        self.product = np.empty(
+            (rows, channels, plan.fft_length), dtype=complex
         )
-        self._magnitudes = np.empty(
-            (self.batch_size, len(base.coarse), base.n_fine),
-            dtype=float,
-        )
-        # Upsampling pad scratch.  Only the head/tail spectrum blocks
-        # (plus the split Nyquist bin) are ever written; the middle
-        # stays zero from construction, so zeroing once here replaces a
-        # ~8 MB memset per engine pass at B=64.
-        self._padded = np.zeros(
-            (self.batch_size, base.n_fine), dtype=complex
-        )
+        self.magnitudes = np.empty((rows, channels, plan.n_fine))
+        # Upsampling pad.  Only the head/tail spectrum blocks (plus the
+        # split Nyquist bin) are ever written; the middle stays zero from
+        # here on, so zeroing once replaces a ~8 MB memset per pass at
+        # B=64.
+        self.padded = np.zeros((rows, plan.n_fine), dtype=complex)
         # Each row's upsampled CIR less the responses subtracted so far,
         # between margins that stay zero: only the scored templates read
         # it, so a bank that is its own cover keeps none.
         self.residual = (
             np.zeros(
-                (self.batch_size, base.n_fine + 2 * base.residual_margin),
+                (rows, plan.n_fine + 2 * plan.residual_margin),
                 dtype=complex,
             )
-            if base.scored
+            if plan.scored
             else None
         )
 
-    @property
-    def n_templates(self) -> int:
-        return len(self.base.templates)
 
-    def magnitudes(self, outputs: np.ndarray) -> np.ndarray:
-        """``np.abs(outputs)`` into the plan's reusable float scratch."""
-        return np.abs(outputs, out=self._magnitudes)
-
-    def filter_pass(self, cirs: np.ndarray) -> np.ndarray:
-        """Upsample + matched-filter B native-rate CIRs in one pass.
-
-        ``cirs`` is ``(B, cir_length)`` complex at the radio's tap rate;
-        returns the ``(B, n_coarse, n_fine)`` complex output tensor, a
-        view into the plan's scratch.  Row ``[b, c]`` equals
-        :func:`repro.core.matched_filter.matched_filter` of the
-        upsampled CIR ``b`` against fine template ``coarse[c]``; the
-        upsampled CIRs also fill :attr:`residual` when the plan keeps
-        one.  Every transform passes ``workers=-1``: with
-        B x n_coarse independent rows they row-parallelise trivially,
-        and pocketfft evaluates each row with the same kernel as the
-        1-D call.
-        """
-        cirs = np.asarray(cirs, dtype=complex)
-        if cirs.shape != (self.batch_size, self.base.cir_length):
-            raise ValueError(
-                f"plan built for shape "
-                f"{(self.batch_size, self.base.cir_length)}, got "
-                f"{tuple(cirs.shape)}"
-            )
-        factor = self.base.upsample_factor
-        if factor == 1:
-            working = cirs  # read-only below; extraction mutates outputs only
-        else:
-            n = self.base.cir_length
-            spectrum = sp_fft.fft(cirs, axis=1, workers=-1)
-            padded = self._padded
-            # Same spectrum split as fft_upsample_batch: positive
-            # frequencies at the head, negative at the tail, an even
-            # length's Nyquist bin shared half-and-half.
-            half = (n + 1) // 2
-            padded[:, :half] = spectrum[:, :half]
-            if n > half:
-                padded[:, -(n - half):] = spectrum[:, half:]
-            if n % 2 == 0:
-                padded[:, half] = spectrum[:, half] / 2.0
-                padded[:, -half] = spectrum[:, half] / 2.0
-            working = sp_fft.ifft(padded, axis=1, workers=-1)
-            working *= factor
-        if self.residual is not None:
-            margin = self.base.residual_margin
-            self.residual[:, margin : margin + self.base.n_fine] = working
-        forward = sp_fft.fft(working, self.base.fft_length, axis=1, workers=-1)
-        np.multiply(
-            forward[:, np.newaxis, :],
-            self.base.spectra[np.newaxis, :, :],
-            out=self._product,
-        )
-        # ``overwrite_x`` lets pocketfft transform the scratch in place
-        # instead of allocating a second (B, n_coarse, fft_length)
-        # tensor — ~33 MB of allocation and write traffic per pass at
-        # B=64, exactly what makes large batches memory-bound.
-        outputs = sp_fft.ifft(
-            self._product, axis=2, workers=-1, overwrite_x=True
-        )
-        return outputs[:, :, : self.base.n_fine]
+_thread = threading.local()
 
 
-def private_plan(
-    templates: Sequence[Pulse],
-    cir_length: int,
-    upsample_factor: int,
-    sampling_period_s: float,
-    batch_size: int = 1,
-) -> BatchDetectorPlan:
-    """An uncached batch plan whose scratch belongs to the caller alone.
+def _workspace(plan: DetectorPlan, rows: int) -> _Workspace:
+    """This thread's scratch for ``plan`` with room for ``rows`` CIRs."""
+    held = getattr(_thread, "workspace", None)
+    if held is None or held.plan is not plan or held.rows < rows:
+        # Drop both references, so the old buffers are freed before the
+        # new ones are allocated.
+        held = _thread.workspace = None
+        held = _thread.workspace = _Workspace(plan, rows)
+    return held
 
-    The immutable artifacts underneath come from the shared
-    :func:`~repro.core.plan.detector_plan` cache; only the scratch
-    buffers are new.  This is what a caller that may run concurrently
-    with others of the same shape passes as ``plan=``.
+
+def filter_pass(
+    plan: DetectorPlan, cirs
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Upsample + matched-filter B native-rate CIRs in one pass.
+
+    ``cirs`` is ``(B, cir_length)`` complex at the radio's tap rate.
+    Returns ``(outputs, magnitudes, residual)``: the
+    ``(B, n_coarse, n_fine)`` complex filter outputs, whose row
+    ``[b, c]`` equals :func:`repro.core.matched_filter.matched_filter`
+    of the upsampled CIR ``b`` against fine template ``coarse[c]``;
+    their ``np.abs``; and, when the bank has templates outside its
+    cover, the ``(B, n_fine + 2 * residual_margin)`` upsampled CIRs
+    between zero margins (else ``None``).  All three are views into this
+    thread's scratch that stay valid — and freely mutable, the
+    extraction loop writes into them — until the thread's next pass.
+    Every transform passes ``workers=-1``: with B x n_coarse independent
+    rows they row-parallelise trivially, and pocketfft evaluates each
+    row with the same kernel as the 1-D call.
     """
-    base = detector_plan(
-        templates, cir_length, upsample_factor, sampling_period_s
-    )
-    return BatchDetectorPlan(base, batch_size)
-
-
-def batch_detector_plan(
-    templates: Sequence[Pulse],
-    cir_length: int,
-    upsample_factor: int,
-    sampling_period_s: float,
-    batch_size: int,
-) -> BatchDetectorPlan:
-    """A memoised :class:`BatchDetectorPlan` for a batched shape.
-
-    The underlying :class:`DetectorPlan` artifacts are shared with every
-    other batch size via their own cache entry; only the thin batch
-    wrapper (plus its scratch) is stored per batch size.  Both lookups
-    count toward the ``detector_plans`` hit rate shown in the runtime
-    metrics report.
-    """
-    key = plan_cache_key(
-        templates, cir_length, upsample_factor, sampling_period_s,
-        batch_size=batch_size,
-    )
-    return get_cache("detector_plans").get_or_create(
-        key,
-        lambda: private_plan(
-            templates, cir_length, upsample_factor, sampling_period_s,
-            batch_size,
-        ),
-    )
-
-
-def _check_plan(
-    plan: BatchDetectorPlan,
-    templates: Sequence[Pulse],
-    sampling_period_s: float,
-    batch_size: int,
-    cir_length: int,
-    upsample_factor: int,
-) -> None:
-    """Reject an explicitly supplied plan built for another call."""
-    base = plan.base
-    if (
-        plan.batch_size != batch_size
-        or base.cir_length != cir_length
-        or base.upsample_factor != upsample_factor
-    ):
+    cirs = np.asarray(cirs, dtype=complex)
+    if cirs.ndim != 2 or cirs.shape[1] != plan.cir_length:
         raise ValueError(
-            "explicit plan shape (B="
-            f"{plan.batch_size}, N={base.cir_length}, "
-            f"U={base.upsample_factor}) does not match the call "
-            f"(B={batch_size}, N={cir_length}, U={upsample_factor})"
+            f"plan built for (B, {plan.cir_length}) CIRs, got shape "
+            f"{tuple(cirs.shape)}"
         )
-    if base.sampling_period_s != float(sampling_period_s):
-        raise ValueError(
-            f"explicit plan built for sampling period "
-            f"{base.sampling_period_s!r} s, call uses "
-            f"{float(sampling_period_s)!r} s"
-        )
-    if base.template_keys != tuple(_template_key(t) for t in templates):
-        raise ValueError(
-            "explicit plan was built for a different template bank "
-            f"({len(base.template_keys)} templates) than the call's "
-            f"({len(templates)} templates)"
-        )
+    rows = len(cirs)
+    scratch = _workspace(plan, rows)
+    factor = plan.upsample_factor
+    if factor == 1:
+        working = cirs  # read-only below; extraction mutates outputs only
+    else:
+        n = plan.cir_length
+        spectrum = sp_fft.fft(cirs, axis=1, workers=-1)
+        padded = scratch.padded[:rows]
+        # Same spectrum split as fft_upsample_batch: positive
+        # frequencies at the head, negative at the tail, an even
+        # length's Nyquist bin shared half-and-half.
+        half = (n + 1) // 2
+        padded[:, :half] = spectrum[:, :half]
+        if n > half:
+            padded[:, -(n - half):] = spectrum[:, half:]
+        if n % 2 == 0:
+            padded[:, half] = spectrum[:, half] / 2.0
+            padded[:, -half] = spectrum[:, half] / 2.0
+        working = sp_fft.ifft(padded, axis=1, workers=-1)
+        working *= factor
+    residual = None
+    if scratch.residual is not None:
+        residual = scratch.residual[:rows]
+        margin = plan.residual_margin
+        residual[:, margin : margin + plan.n_fine] = working
+    forward = sp_fft.fft(working, plan.fft_length, axis=1, workers=-1)
+    product = scratch.product[:rows]
+    np.multiply(
+        forward[:, np.newaxis, :], plan.spectra[np.newaxis, :, :], out=product
+    )
+    # ``overwrite_x`` lets pocketfft transform the scratch in place
+    # instead of allocating a second (B, n_coarse, fft_length) tensor —
+    # ~33 MB of allocation and write traffic per pass at B=64, exactly
+    # what makes large batches memory-bound.
+    outputs = sp_fft.ifft(product, axis=2, workers=-1, overwrite_x=True)[
+        :, :, : plan.n_fine
+    ]
+    # A leading-axis slice of a C-order buffer is C-order, so the
+    # extraction loop's ``magnitudes.reshape(B, -1)`` stays a view of
+    # what step 5 writes.
+    magnitudes = np.abs(outputs, out=scratch.magnitudes[:rows])
+    return outputs, magnitudes, residual
 
 
 def search_and_subtract(
@@ -289,7 +194,6 @@ def search_and_subtract(
     sampling_period_s: float,
     config: SearchAndSubtractConfig | None,
     noise_std,
-    plan: BatchDetectorPlan | None,
     prefix: str,
 ) -> List[List[DetectedResponse]]:
     """The engine pass behind :func:`detect_batch` and ``classify_batch``.
@@ -312,32 +216,21 @@ def search_and_subtract(
     if batch_size == 0:
         return []
     stds = _per_trial_noise(noise_std, batch_size)
-    if plan is None:
-        plan = batch_detector_plan(
-            templates,
-            cir_length,
-            config.upsample_factor,
-            sampling_period_s,
-            batch_size,
-        )
-    else:
-        _check_plan(
-            plan, templates, sampling_period_s, batch_size, cir_length,
-            config.upsample_factor,
-        )
+    plan = detector_plan(
+        templates, cir_length, config.upsample_factor, sampling_period_s
+    )
 
     metrics = global_metrics()
     metrics.counter(_PASS_COUNTERS[prefix]).inc()
     metrics.counter(f"{prefix}.batch_trials").inc(batch_size)
     with metrics.timer(f"{prefix}.batch_filter_pass").time():
-        outputs = plan.filter_pass(cirs)
-        magnitudes = plan.magnitudes(outputs)
+        outputs, magnitudes, residual = filter_pass(plan, cirs)
     with metrics.timer(f"{prefix}.batch_extract").time():
         results = extract_responses_batch(
-            plan.base,
+            plan,
             outputs,
             magnitudes,
-            plan.residual,
+            residual,
             config,
             sampling_period_s,
             stds,
@@ -354,8 +247,6 @@ def detect_batch(
     sampling_period_s: float,
     config: SearchAndSubtractConfig | None = None,
     noise_std=0.0,
-    *,
-    plan: BatchDetectorPlan | None = None,
 ) -> List[List[DetectedResponse]]:
     """Run search-and-subtract on B stacked CIRs in one batched pass.
 
@@ -377,15 +268,6 @@ def detect_batch(
     noise_std:
         Scalar shared by all trials, or a length-B sequence of per-trial
         noise standard deviations (for the early-stop gate).
-    plan:
-        Optional explicit :class:`BatchDetectorPlan` to run on,
-        bypassing the process-local plan cache.  The cache hands every
-        same-shape caller the *same* plan object — whose scratch buffers
-        are mutated on every pass — so concurrent engine passes from
-        multiple threads must each bring a :func:`private_plan`.  The
-        plan must have been built for this call: same batch size, CIR
-        length, upsample factor, sampling period and templates, or
-        :class:`ValueError` is raised.
 
     Returns
     -------
@@ -397,6 +279,6 @@ def detect_batch(
     if isinstance(templates, Pulse):
         templates = [templates]
     return search_and_subtract(
-        cirs, list(templates), sampling_period_s, config, noise_std, plan,
+        cirs, list(templates), sampling_period_s, config, noise_std,
         "detector",
     )

@@ -24,7 +24,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batch import BatchDetectorPlan, search_and_subtract
+from repro.core.batch import search_and_subtract
 from repro.core.detection import SearchAndSubtractConfig
 from repro.core.plan import bank_cover
 from repro.core.pulse_id import (
@@ -56,8 +56,6 @@ def classify_batch(
     sampling_period_s: float,
     config: SearchAndSubtractConfig | None = None,
     noise_std=0.0,
-    *,
-    plan: BatchDetectorPlan | None = None,
 ) -> List[List[ClassifiedResponse]]:
     """Jointly detect and identify responses in B stacked CIRs.
 
@@ -82,12 +80,6 @@ def classify_batch(
     noise_std:
         Scalar shared by all trials, or a length-B sequence of per-trial
         noise standard deviations (for the early-stop gate).
-    plan:
-        Optional explicit :class:`~repro.core.batch.BatchDetectorPlan`
-        over the bank, bypassing the plan cache — required when several
-        threads classify concurrently, because cached plans share
-        mutable scratch (see :func:`repro.core.batch.detect_batch`,
-        which also documents the mismatch check).
 
     Returns
     -------
@@ -100,7 +92,7 @@ def classify_batch(
     if len(bank) < 1:
         raise ValueError("classify_batch needs a non-empty template bank")
     extracted = search_and_subtract(
-        cirs, list(bank), sampling_period_s, config, noise_std, plan,
+        cirs, list(bank), sampling_period_s, config, noise_std,
         "classifier",
     )
     return [classify_responses(responses) for responses in extracted]

@@ -187,10 +187,10 @@ class SearchAndSubtract:
     ) -> List[DetectedResponse]:
         """Run the full search-and-subtract loop on a CIR.
 
-        A batch of one through :func:`repro.core.batch.detect_batch`, on
-        a private plan: the cached shape artifacts are immutable, and
-        the scratch buffers belong to this call alone, so ``detect`` is
-        safe to call from several threads at once.
+        A batch of one through :func:`repro.core.batch.detect_batch`:
+        the cached plan is immutable and every thread runs on its own
+        scratch, so ``detect`` is safe to call from several threads at
+        once.
 
         Parameters
         ----------
@@ -208,24 +208,14 @@ class SearchAndSubtract:
             At most ``config.max_responses`` responses, sorted by delay
             ascending (paper step 7).
         """
-        from repro.core.batch import detect_batch, private_plan
+        from repro.core.batch import detect_batch
 
         cir = np.asarray(cir, dtype=complex)
         if cir.ndim != 1:
             raise ValueError(f"expected a 1-D CIR, got shape {cir.shape}")
-        plan = private_plan(
-            self._templates,
-            len(cir),
-            self.config.upsample_factor,
-            sampling_period_s,
-        )
         return detect_batch(
-            cir[np.newaxis, :],
-            self._templates,
-            sampling_period_s,
-            config=self.config,
-            noise_std=noise_std,
-            plan=plan,
+            cir[np.newaxis], self._templates, sampling_period_s,
+            config=self.config, noise_std=noise_std,
         )[0]
 
     def detect_with_ls_refinement(

@@ -35,9 +35,9 @@ thousands of Monte-Carlo trials share one plan per process:
   coarse peak (:mod:`repro.core.batch_extract` picks each response's
   shape from the whole bank within one native tap of it).
 
-The plan itself is immutable and shared; the batched engine
-(:class:`repro.core.batch.BatchDetectorPlan`) wraps it with the
-per-pass scratch buffers.
+The plan itself is immutable and shared by every thread; each thread
+runs its passes on its own scratch buffers
+(:func:`repro.core.batch.filter_pass`).
 
 Numerical contract: the batched evaluation is the *same* linear
 correlation the reference loop computes (zero-padded, never circular —
@@ -67,7 +67,6 @@ __all__ = [
     "bank_cover",
     "detector_plan",
     "peak_correlations",
-    "plan_cache_key",
 ]
 
 #: Peak-aligned correlation at which a coarse channel covers a template
@@ -179,10 +178,6 @@ class DetectorPlan:
     ----------
     templates:
         The bank resampled to the fine (upsampled) rate, in bank order.
-    template_keys:
-        :func:`_template_key` of every template the plan was built
-        from (before resampling) — what an explicitly supplied plan is
-        checked against.
     sampling_period_s:
         Native CIR tap spacing the plan was built for.
     cir_length:
@@ -222,7 +217,6 @@ class DetectorPlan:
     """
 
     templates: Tuple[Pulse, ...]
-    template_keys: Tuple[tuple, ...]
     sampling_period_s: float
     cir_length: int
     upsample_factor: int
@@ -299,7 +293,6 @@ class DetectorPlan:
 
         return cls(
             templates=tuple(fine),
-            template_keys=tuple(_template_key(t) for t in templates),
             sampling_period_s=float(sampling_period_s),
             cir_length=int(cir_length),
             upsample_factor=int(upsample_factor),
@@ -439,37 +432,6 @@ def _template_key(template: Pulse) -> tuple:
     )
 
 
-def plan_cache_key(
-    templates: Sequence[Pulse],
-    cir_length: int,
-    upsample_factor: int,
-    sampling_period_s: float,
-    batch_size: int | None = None,
-) -> tuple:
-    """The ``detector_plans`` cache key for one detection shape.
-
-    The key *must* include the batch shape: a cross-trial
-    :class:`~repro.core.batch.BatchDetectorPlan` carries batch-sized
-    scratch buffers (and is a different type altogether), so serving a
-    B=64 entry to a B=8 caller — or the shared :class:`DetectorPlan` to
-    ``detect_batch`` — would crash at best and silently corrupt outputs
-    at worst.  ``batch_size=None`` denotes the shared plan; the batched
-    engine passes its B.  Even ``B == 1`` must *not* collide with the
-    shared entry (the two are different types), hence the explicit
-    ``"single"`` / ``("batch", B)`` discriminator rather than a bare
-    integer.  ``tests/test_properties_detection.py::TestPlanCacheBatchKey``
-    is the regression test that would have caught a key without this
-    component.
-    """
-    return (
-        tuple(_template_key(t) for t in templates),
-        int(cir_length),
-        int(upsample_factor),
-        float(sampling_period_s),
-        "single" if batch_size is None else ("batch", int(batch_size)),
-    )
-
-
 def detector_plan(
     templates: Sequence[Pulse],
     cir_length: int,
@@ -484,8 +446,11 @@ def detector_plan(
     ``detector.plan_build`` in the process-local
     :func:`repro.runtime.metrics.global_metrics` registry.
     """
-    key = plan_cache_key(
-        templates, cir_length, upsample_factor, sampling_period_s
+    key = (
+        tuple(_template_key(t) for t in templates),
+        int(cir_length),
+        int(upsample_factor),
+        float(sampling_period_s),
     )
 
     def _build() -> DetectorPlan:

@@ -125,7 +125,6 @@ class PulseShapeClassifier:
             raise ValueError("classifier needs a non-empty template bank")
         self.bank = bank
         self.config = config or SearchAndSubtractConfig()
-        self._templates = list(bank)
 
     def classify(
         self,
@@ -135,28 +134,17 @@ class PulseShapeClassifier:
     ) -> List[ClassifiedResponse]:
         """Detect responses and decode each one's pulse shape.
 
-        A batch of one through :func:`repro.core.batch_id.classify_batch`
-        on a private plan, so ``classify`` is safe to call from several
-        threads at once.  Returns classified responses sorted by delay
-        ascending.
+        A batch of one through :func:`repro.core.batch_id.classify_batch`:
+        the cached plan is immutable and every thread runs on its own
+        scratch, so ``classify`` is safe to call from several threads at
+        once.  Returns classified responses sorted by delay ascending.
         """
-        from repro.core.batch import private_plan
         from repro.core.batch_id import classify_batch
 
         cir = np.asarray(cir, dtype=complex)
         if cir.ndim != 1:
             raise ValueError(f"expected a 1-D CIR, got shape {cir.shape}")
-        plan = private_plan(
-            self._templates,
-            len(cir),
-            self.config.upsample_factor,
-            sampling_period_s,
-        )
         return classify_batch(
-            cir[np.newaxis, :],
-            self.bank,
-            sampling_period_s,
-            config=self.config,
-            noise_std=noise_std,
-            plan=plan,
+            cir[np.newaxis], self.bank, sampling_period_s,
+            config=self.config, noise_std=noise_std,
         )[0]

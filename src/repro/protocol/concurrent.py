@@ -236,12 +236,6 @@ class ConcurrentRangingSession:
         IDs (``assignment(id % capacity)``).  Used for anonymity
         stress tests such as the paper's Sect. VI overlap experiment,
         where two responders deliberately share slot and shape.
-    init_loss_probability:
-        Probability that a responder fails to decode the INIT broadcast
-        and therefore stays silent this round (frame loss, deep fade).
-        Missing responders simply do not appear in the CIR; pair with a
-        ``min_peak_snr`` detector gate so the detector does not invent
-        them.
     faults:
         Optional :class:`~repro.faults.FaultPlan`.  When given (and
         non-empty), the plan is activated and its injectors perturb the
@@ -283,7 +277,6 @@ class ConcurrentRangingSession:
         cfo_error_ppm: float = DEFAULT_CFO_ERROR_PPM,
         compensate_tx_quantization: bool = False,
         allow_duplicate_assignments: bool = False,
-        init_loss_probability: float = 0.0,
         rng: np.random.Generator | None = None,
         faults: FaultPlan | None = None,
         defense: DefensePlan | None = None,
@@ -314,12 +307,6 @@ class ConcurrentRangingSession:
                 f"{scheme.capacity}"
             )
         self._wrap_assignments = bool(allow_duplicate_assignments)
-        if not 0.0 <= init_loss_probability < 1.0:
-            raise ValueError(
-                "init_loss_probability must be in [0, 1), got "
-                f"{init_loss_probability}"
-            )
-        self.init_loss_probability = float(init_loss_probability)
         self.medium = medium
         self.initiator = initiator
         self.responders = list(responders)
@@ -534,13 +521,6 @@ class ConcurrentRangingSession:
             truth[responder_id] = init_node.distance_to(node)
             if active is not None and active.init_lost(ctx, responder_id):
                 # Injected poll loss: the responder never decodes INIT.
-                continue
-            if (
-                self.init_loss_probability > 0.0
-                and rng.random() < self.init_loss_probability
-            ):
-                # Responder missed the INIT: it never learns about this
-                # round and stays silent.
                 continue
             channel = self.medium.channel_between(
                 init_node.node_id, node.node_id

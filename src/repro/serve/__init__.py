@@ -17,7 +17,7 @@ serving stack:
   with per-session FIFO ordering, dynamic micro-batching (flush on
   batch-full or deadline), bounded ingress queues with
   reject-with-retry-after backpressure, per-session token-bucket rate
-  limiting, per-request deadline shedding, and serial-engine fallback.
+  limiting, per-request deadline shedding, and per-item fallback.
 * :class:`RangingServer` — the multi-process deployment: K forked
   workers (each a full ``RangingService``) behind the length-prefixed
   wire protocol of :mod:`repro.serve.wire`, with heartbeat supervision,

@@ -1,24 +1,19 @@
 """Per-shard engine: batched detection/classification with fallback.
 
-Each shard owns one :class:`ShardEngine`.  The cached plans of
-:mod:`repro.core.batch` carry *mutable* scratch buffers and are shared
-per shape process-wide, so two shards running engine passes
-concurrently (the service executes them on a thread pool) must never
-share a plan — the shard engine therefore builds **private** plan
-instances and hands them to :func:`~repro.core.batch.detect_batch` /
-:func:`~repro.core.batch_id.classify_batch` explicitly.  Plans are
-memoised per ``(CIR length, batch size)`` in a small per-shard table
-(deadline flushes produce short batches, so a handful of sizes recur);
-the heavy batch-independent artifacts underneath (the template
-spectra) still come from the process-wide cache, which is
-lock-protected and immutable once built.
+Each shard owns one :class:`ShardEngine`, which runs every flushed
+group through the one engine function its mode names:
+:func:`~repro.core.batch.detect_batch` or
+:func:`~repro.core.batch_id.classify_batch`.  The service runs the
+shards' passes on a thread pool; the engine's cached plans are
+immutable and each thread runs on its own scratch, so concurrent shards
+share nothing mutable.
 
 Degradation mirrors :mod:`repro.runtime`'s :class:`BatchTrial`
-contract: if a batched pass raises, the group degrades to per-item
-``detect()``/``classify()`` calls (batches of one on private plans;
-counted as a fallback), and an item that fails even alone becomes a
-per-item error instead of poisoning its batch — degraded throughput,
-never a lost request.
+contract: if a batched pass raises, each member of the group re-runs
+alone, as a batch of one through the same function (counted as a
+fallback), and an item that fails even alone becomes a per-item error
+instead of poisoning its batch — degraded throughput, never a lost
+request.
 """
 
 from __future__ import annotations
@@ -27,17 +22,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batch import BatchDetectorPlan, detect_batch, private_plan
+from repro.core.batch import detect_batch
 from repro.core.batch_id import classify_batch
-from repro.core.detection import SearchAndSubtract, SearchAndSubtractConfig
-from repro.core.pulse_id import PulseShapeClassifier
+from repro.core.detection import SearchAndSubtractConfig
 from repro.signal.templates import TemplateBank
 
 __all__ = ["EngineConfig", "ShardEngine"]
-
-#: Per-shard plan-table bound; beyond this the oldest entry is evicted
-#: (a live stream with fixed CIR length rarely needs more than a few).
-MAX_PRIVATE_PLANS = 32
 
 
 class EngineConfig:
@@ -85,53 +75,15 @@ class EngineConfig:
 
 
 class ShardEngine:
-    """One shard's private engine state plus the group-execute entry.
+    """One shard's group-execute entry.
 
-    :meth:`execute` is called on the service's thread pool (one
-    in-flight call per shard at a time, by construction of the shard
-    loop), so everything mutable here — the plan table, the plans'
-    scratch buffers — is touched by at most one thread concurrently.
+    :meth:`execute` is called on the service's thread pool, one
+    in-flight call per shard at a time by construction of the shard
+    loop.
     """
 
     def __init__(self, engine: EngineConfig) -> None:
         self._engine = engine
-        self._templates = list(engine.bank)
-        self._plans: Dict[Tuple[int, int], BatchDetectorPlan] = {}
-        self._serial = None  # built lazily, only on fallback
-
-    # -- private plans -------------------------------------------------------
-
-    def _plan(self, cir_length: int, batch_size: int) -> BatchDetectorPlan:
-        """A private (uncached, shard-local) plan for one batch shape."""
-        key = (cir_length, batch_size)
-        plan = self._plans.get(key)
-        if plan is None:
-            engine = self._engine
-            plan = private_plan(
-                self._templates,
-                cir_length,
-                engine.config.upsample_factor,
-                engine.sampling_period_s,
-                batch_size,
-            )
-            if len(self._plans) >= MAX_PRIVATE_PLANS:
-                self._plans.pop(next(iter(self._plans)))
-            self._plans[key] = plan
-        return plan
-
-    def _serial_engine(self):
-        """The per-item engine (batches of one) for the fallback path."""
-        if self._serial is None:
-            engine = self._engine
-            if engine.mode == "classify":
-                self._serial = PulseShapeClassifier(
-                    engine.bank, engine.config
-                )
-            else:
-                self._serial = SearchAndSubtract(engine.bank, engine.config)
-        return self._serial
-
-    # -- execution -----------------------------------------------------------
 
     def execute(
         self,
@@ -143,7 +95,7 @@ class ShardEngine:
         ``outcomes[k]`` is ``(True, responses)`` or ``(False, message)``
         for input ``k``, in input order.  Requests are grouped by CIR
         length (stacking requires equal lengths); each group is one
-        batched engine pass, degrading to per-item serial execution if
+        batched engine pass, degrading to one batch of one per member if
         the pass raises.
         """
         groups: Dict[int, List[int]] = {}
@@ -169,33 +121,25 @@ class ShardEngine:
                 order.append(length)
             groups[length].append(k)
 
+        engine = self._engine
+        # Read per call: tracers and tests swap these module attributes.
+        batch = classify_batch if engine.mode == "classify" else detect_batch
+
+        def run(members: List[int]) -> list:
+            return batch(
+                np.stack([prepared[k] for k in members]),
+                engine.bank,
+                engine.sampling_period_s,
+                config=engine.config,
+                noise_std=[float(noise_stds[k]) for k in members],
+            )
+
         passes = 0
         fallbacks = 0
-        engine = self._engine
         for length in order:
             members = groups[length]
-            stack = np.stack([prepared[k] for k in members])
-            stds = [float(noise_stds[k]) for k in members]
-            plan = self._plan(length, len(members))
             try:
-                if engine.mode == "classify":
-                    served = classify_batch(
-                        stack,
-                        engine.bank,
-                        engine.sampling_period_s,
-                        config=engine.config,
-                        noise_std=stds,
-                        plan=plan,
-                    )
-                else:
-                    served = detect_batch(
-                        stack,
-                        self._templates,
-                        engine.sampling_period_s,
-                        config=engine.config,
-                        noise_std=stds,
-                        plan=plan,
-                    )
+                served = run(members)
                 passes += 1
             except Exception:  # degrade the group, never lose requests
                 fallbacks += 1
@@ -204,22 +148,9 @@ class ShardEngine:
                 for k, responses in zip(members, served):
                     outcomes[k] = (True, responses)
                 continue
-            serial = self._serial_engine()
             for k in members:
                 try:
-                    if engine.mode == "classify":
-                        responses = serial.classify(
-                            prepared[k],
-                            engine.sampling_period_s,
-                            noise_std=float(noise_stds[k]),
-                        )
-                    else:
-                        responses = serial.detect(
-                            prepared[k],
-                            engine.sampling_period_s,
-                            noise_std=float(noise_stds[k]),
-                        )
-                    outcomes[k] = (True, responses)
+                    outcomes[k] = (True, run([k])[0])
                 except Exception as error:
                     outcomes[k] = (False, repr(error))
         # Every input slot is filled: either a per-item payload error or

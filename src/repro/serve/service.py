@@ -8,8 +8,8 @@ dynamic micro-batcher onto the batched detection/classification
 engines.  The design in one paragraph:
 
 * **Sharding** — ``session_id`` hashes to one of ``n_shards`` shards
-  (stable CRC-32), each with its own bounded ingress queue, micro-
-  batcher, and private engine plans.  A session's requests are served
+  (stable CRC-32), each with its own bounded ingress queue and micro-
+  batcher.  A session's requests are served
   strictly FIFO because its shard consumes them in arrival order, one
   batch at a time.
 * **Micro-batching** — each shard gathers requests until batch-full or
@@ -21,8 +21,8 @@ engines.  The design in one paragraph:
   (:class:`~repro.serve.request.ServiceOverloadedError`) instead of
   buffering without bound; a request whose deadline expires while
   queued is shed without running the engine.
-* **Graceful degradation** — a failing batched pass degrades to the
-  serial per-item engine (never a lost request), mirroring the
+* **Graceful degradation** — a failing batched pass degrades to one
+  batch of one per request (never a lost request), mirroring the
   :class:`~repro.runtime.executor.BatchTrial` fallback contract.
 * **Observability** — every decision increments the service's
   :class:`~repro.runtime.metrics.MetricsRegistry` (queue depth,

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.constants import CIR_SAMPLING_PERIOD_S as TS
-from repro.core.batch import private_plan
+from repro.core.batch import filter_pass
 from repro.core.detection import SearchAndSubtract, SearchAndSubtractConfig
+from repro.core.plan import detector_plan
 from repro.signal.sampling import place_pulse
 
 
@@ -206,7 +207,7 @@ class TestInputValidation:
         detector = SearchAndSubtract(default_pulse)
         factor = detector.config.upsample_factor
         # The upsampled matched-filter curve of Fig. 4b.
-        plan = private_plan(detector.templates, len(cir), factor, TS)
-        y = plan.filter_pass(cir[np.newaxis, :])[0, 0]
+        plan = detector_plan(detector.templates, len(cir), factor, TS)
+        y = filter_pass(plan, cir[np.newaxis, :])[0][0, 0]
         assert len(y) == len(cir) * factor
         assert np.argmax(np.abs(y)) == pytest.approx(800, abs=4)

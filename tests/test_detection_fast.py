@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.constants import CIR_SAMPLING_PERIOD_S as TS
-from repro.core.batch import detect_batch, private_plan
+from repro.core.batch import detect_batch, filter_pass
 from repro.core.detection import (
     SearchAndSubtract,
     SearchAndSubtractConfig,
@@ -340,14 +340,14 @@ class TestPlanInternals:
         factor = 4
         cir = rng.standard_normal(200) + 1j * rng.standard_normal(200)
         working = fft_upsample(cir, factor)
-        plan = private_plan(list(paper_bank), 200, factor, TS)
-        outputs = plan.filter_pass(cir[np.newaxis, :])[0]
-        assert outputs.shape == (len(paper_bank), 200 * factor)
-        for row, template in zip(outputs, plan.base.templates):
+        plan = detector_plan(list(paper_bank), 200, factor, TS)
+        outputs, _, residual = filter_pass(plan, cir[np.newaxis, :])
+        assert outputs.shape == (1, len(paper_bank), 200 * factor)
+        for row, template in zip(outputs[0], plan.templates):
             assert np.allclose(
                 row, matched_filter(working, template), rtol=RTOL, atol=1e-12
             )
-        assert plan.residual is None
+        assert residual is None
 
     def test_covered_filter_pass_keeps_residual(self):
         """On a bank with templates outside its cover, the filter pass
@@ -357,23 +357,24 @@ class TestPlanInternals:
         factor = 4
         cir = rng.standard_normal(200) + 1j * rng.standard_normal(200)
         working = fft_upsample(cir, factor)
-        plan = private_plan(_spread_bank(32), 200, factor, TS)
-        outputs = plan.filter_pass(cir[np.newaxis, :])[0]
-        coarse = plan.base.coarse
-        assert outputs.shape == (len(coarse), 200 * factor) and len(coarse) < 32
-        for row, t in zip(outputs, coarse):
+        plan = detector_plan(_spread_bank(32), 200, factor, TS)
+        outputs, _, residual = filter_pass(plan, cir[np.newaxis, :])
+        coarse = plan.coarse
+        assert outputs.shape == (1, len(coarse), 200 * factor)
+        assert len(coarse) < 32
+        for row, t in zip(outputs[0], coarse):
             assert np.allclose(
                 row,
-                matched_filter(working, plan.base.templates[t]),
+                matched_filter(working, plan.templates[t]),
                 rtol=RTOL,
                 atol=1e-12,
             )
-        margin = plan.base.residual_margin
+        margin = plan.residual_margin
         assert np.allclose(
-            plan.residual[0, margin:-margin], working, rtol=RTOL, atol=1e-12
+            residual[0, margin:-margin], working, rtol=RTOL, atol=1e-12
         )
-        assert not plan.residual[0, :margin].any()
-        assert not plan.residual[0, -margin:].any()
+        assert not residual[0, :margin].any()
+        assert not residual[0, -margin:].any()
 
     def test_subtract_response_matches_refilter(self, paper_bank):
         """The incremental update equals subtract-then-refilter."""
@@ -557,10 +558,10 @@ class TestPlanInternals:
             DetectorPlan.build(list(paper_bank), 64, 0, TS)
 
     def test_filter_bank_validates_length(self, paper_bank):
-        plan = private_plan(list(paper_bank), 64, 2, TS)
+        plan = detector_plan(list(paper_bank), 64, 2, TS)
         with pytest.raises(ValueError):
-            plan.filter_pass(np.zeros((1, 32), dtype=complex))  # needs 64
+            filter_pass(plan, np.zeros((1, 32), dtype=complex))  # needs 64
         with pytest.raises(ValueError):
-            plan.filter_pass(np.zeros((2, 64), dtype=complex))  # needs B=1
+            filter_pass(plan, np.zeros((2, 64, 1), dtype=complex))
         with pytest.raises(ValueError):
-            plan.filter_pass(np.zeros(64, dtype=complex))
+            filter_pass(plan, np.zeros(64, dtype=complex))

@@ -1,8 +1,14 @@
-"""Tests for INIT frame-loss modelling in the concurrent session."""
+"""Tests for INIT frame loss in the concurrent session.
+
+INIT loss is the :class:`~repro.faults.PollLoss` injector: a responder
+that misses the INIT broadcast (frame loss, deep fade) never learns
+about the round and stays silent, so it does not appear in the CIR.
+"""
 
 import pytest
 
 from repro.core.detection import SearchAndSubtractConfig
+from repro.faults import FaultPlan, PollLoss
 from repro.protocol.concurrent import ConcurrentRangingSession
 
 
@@ -11,7 +17,7 @@ def build_session(loss, seed=88, gate=6.0):
         responder_distances_m=[3.0, 6.0, 9.0],
         n_shapes=3,
         seed=seed,
-        init_loss_probability=loss,
+        faults=FaultPlan([PollLoss(loss)], seed=seed),
         compensate_tx_quantization=True,
         detector_config=SearchAndSubtractConfig(
             max_responses=3, upsample_factor=8, min_peak_snr=gate
@@ -88,6 +94,6 @@ class TestInitLoss:
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
-            build_session(1.0)
+            PollLoss(1.5)
         with pytest.raises(ValueError):
-            build_session(-0.1)
+            PollLoss(-0.1)

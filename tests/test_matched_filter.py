@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from repro.constants import CIR_SAMPLING_PERIOD_S as TS
-from repro.core.batch import private_plan
+from repro.core.batch import filter_pass
 from repro.core.matched_filter import matched_filter
+from repro.core.plan import detector_plan
 from repro.signal.sampling import place_pulse
 
 
 def filter_bank_outputs(cir, bank):
     """The engine's filter pass on one native-rate CIR (no upsampling)."""
-    plan = private_plan(list(bank), len(cir), 1, TS)
-    return plan.filter_pass(np.asarray(cir)[np.newaxis, :])[0]
+    plan = detector_plan(list(bank), len(cir), 1, TS)
+    return filter_pass(plan, np.asarray(cir)[np.newaxis, :])[0][0]
 
 
 class TestAlignment:

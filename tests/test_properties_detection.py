@@ -18,10 +18,10 @@ decisions* (response count, template choice) with numerics matching at
 ``rtol <= 1e-9`` (in practice byte-identical on pocketfft builds, but
 the tolerance keeps the suite platform-safe).
 
-``TestPlanCacheBatchKey`` pins the cache-key regression: a batch-shaped
-plan (which carries mutable ``(B, n_templates, fft_length)`` scratch)
-must never be served where the shared :class:`DetectorPlan` is
-expected — not even at B=1.
+``TestConcurrentCalls`` runs every entry point from four threads at
+once and one thread's scratch through several batch sizes, a second
+bank and a cache clear: each must return exactly the sequential
+results.
 
 On the Table I shape (4-template bank, 1016-tap CIRs, 8x upsampling,
 4 responses) the batched engines also equal the per-CIR calls at
@@ -41,14 +41,14 @@ import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from repro.constants import CIR_SAMPLING_PERIOD_S
-from repro.core.batch import BatchDetectorPlan, batch_detector_plan, detect_batch
+from repro.core.batch import detect_batch
 from repro.core.batch_id import ClassifyBatchTrial, classify_batch
 from repro.core.detection import (
     SearchAndSubtract,
     SearchAndSubtractConfig,
     detect_reference,
 )
-from repro.core.plan import DetectorPlan, detector_plan, plan_cache_key
+from repro.core.plan import detector_plan
 from repro.core.pulse_id import PulseShapeClassifier
 from repro.core.threshold import (
     ThresholdConfig,
@@ -56,7 +56,7 @@ from repro.core.threshold import (
     detect_threshold_reference,
 )
 from repro.runtime import MetricsRegistry, choose_batch_size, run_trials
-from repro.runtime.cache import clear_all_caches
+from repro.runtime.cache import clear_all_caches, get_cache
 from repro.runtime.metrics import global_metrics
 from repro.signal.pulses import dw1000_pulse
 from repro.signal.sampling import place_pulse
@@ -366,8 +366,7 @@ class TestDegenerateBatches:
         assert detector.detect_batch(np.zeros((0, 256)), TS) == []
 
     def test_single_trial_batch_equals_serial(self):
-        """B=1 is the degenerate batch the cache-key bug used to break:
-        a warm single-CIR plan must not be served to the batch path."""
+        """B=1 is the degenerate batch: ``detect()`` is the same pass."""
         rng = np.random.default_rng(3)
         cir = _random_cir(rng, 509, 2)
         detector = SearchAndSubtract(
@@ -405,38 +404,12 @@ class TestDegenerateBatches:
             )
 
 
-class TestPlanCacheBatchKey:
-    """A batch plan must never be served to the single-CIR path (or to a
-    different batch size) — the key includes the batch shape."""
-
-    def test_single_and_batch_keys_differ(self):
-        single = plan_cache_key([_PULSE], 509, 8, TS)
-        assert single != plan_cache_key([_PULSE], 509, 8, TS, batch_size=1)
-        assert single != plan_cache_key([_PULSE], 509, 8, TS, batch_size=64)
-
-    def test_batch_sizes_key_separately(self):
-        keys = {
-            plan_cache_key([_PULSE], 509, 8, TS, batch_size=b)
-            for b in (1, 2, 8, 64)
-        }
-        assert len(keys) == 4
-
+class TestPlanCacheKey:
     def test_same_shape_same_key(self):
-        assert plan_cache_key([_PULSE], 509, 8, TS, batch_size=8) == (
-            plan_cache_key([dw1000_pulse()], 509, 8, TS, batch_size=8)
+        """Equal templates built apart share one cached plan."""
+        assert detector_plan([_PULSE], 509, 8, TS) is detector_plan(
+            [dw1000_pulse()], 509, 8, TS
         )
-
-    def test_plan_types_never_cross(self):
-        """Warm both caches for one shape; each lookup must return its
-        own plan type, with the batch plan wrapping the shared base."""
-        base = detector_plan([_PULSE], 509, 8, TS)
-        batch = batch_detector_plan([_PULSE], 509, 8, TS, batch_size=4)
-        assert isinstance(base, DetectorPlan)
-        assert isinstance(batch, BatchDetectorPlan)
-        assert batch.base is base  # artifacts shared, wrapper distinct
-        # Repeat lookups come from the cache and keep their types.
-        assert detector_plan([_PULSE], 509, 8, TS) is base
-        assert batch_detector_plan([_PULSE], 509, 8, TS, batch_size=4) is batch
 
 
 class TestClassifierEnginesAgree:
@@ -533,8 +506,7 @@ class TestClassifierEnginesAgree:
         assert classify_batch(np.zeros((0, 256)), _BANK, TS) == []
 
     def test_single_trial_batch_equals_serial(self):
-        """B=1: the degenerate batch must round-trip the serial result
-        (and must not be served a single-CIR or detector-family plan)."""
+        """B=1: the degenerate batch must round-trip the serial result."""
         from repro.core.batch_id import ClassifyBatchTrial, classify_batch
         from repro.core.pulse_id import PulseShapeClassifier
 
@@ -604,83 +576,26 @@ class TestClassifierEnginesAgree:
             classify_batch(np.zeros((2, 256)), [], TS)
 
 
-class TestExplicitPlanMismatch:
-    """An explicit ``plan=`` must have been built for the call: a plan
-    for another bank or sampling period of the same shape is rejected,
-    never silently run against the wrong spectra."""
-
-    @staticmethod
-    def _plan(bank, batch_size, period=TS, length=318):
-        return BatchDetectorPlan(
-            detector_plan(list(bank), length, 8, period), batch_size
-        )
-
-    def _cirs(self, batch_size, length=318):
-        rng = np.random.default_rng(41)
-        return np.stack(
-            [_random_cir(rng, length, 2) for _ in range(batch_size)]
-        )
-
-    def test_detect_batch_rejects_other_bank(self):
-        # Registers 147/200/230 vs 147/201/255: same length, same shape.
-        plan = self._plan(TemplateBank.paper_bank(3), 2)
-        with pytest.raises(ValueError, match="template bank"):
-            detect_batch(
-                self._cirs(2), TemplateBank.spread(3), TS, plan=plan
-            )
-
-    def test_classify_batch_rejects_other_bank(self):
-        plan = self._plan(TemplateBank.paper_bank(3), 2)
-        with pytest.raises(ValueError, match="template bank"):
-            classify_batch(
-                self._cirs(2), TemplateBank.spread(3), TS, plan=plan
-            )
-
-    def test_classify_batch_rejects_other_bank_size(self):
-        plan = self._plan([_PULSE], 2)
-        with pytest.raises(ValueError, match="templates"):
-            classify_batch(
-                self._cirs(2), TemplateBank.paper_bank(3), TS, plan=plan
-            )
-
-    def test_rejects_other_sampling_period(self):
-        plan = self._plan(_BANK, 2, period=2 * TS)
-        with pytest.raises(ValueError, match="sampling period"):
-            detect_batch(self._cirs(2), _BANK, TS, plan=plan)
-
-    def test_rejects_other_shape(self):
-        plan = self._plan(_BANK, 3)
-        with pytest.raises(ValueError, match="shape"):
-            detect_batch(self._cirs(2), _BANK, TS, plan=plan)
-
-    def test_matching_plan_equals_cached_plan(self):
-        bank = TemplateBank.spread(3)
-        cirs = self._cirs(2)
-        config = SearchAndSubtractConfig(max_responses=2)
-        explicit = detect_batch(
-            cirs, bank, TS, config, noise_std=0.01,
-            plan=self._plan(bank, 2),
-        )
-        cached = detect_batch(cirs, bank, TS, config, noise_std=0.01)
-        assert explicit == cached
-
-
 class TestConcurrentCalls:
-    """``detect()`` and ``classify()`` run on private scratch, so calls
-    from several threads at once return exactly the sequential results."""
+    """Each thread runs the engine on its own scratch and the cached
+    plans are immutable, so calls from several threads at once return
+    exactly the sequential results, and one thread's scratch serves
+    passes of any batch size on any plan."""
 
     N_THREADS = 4  # more threads than the cores the suite runs on
+    PASSES = 3  # overlap several passes per thread
 
-    def _run_threaded(self, call, cirs):
-        results = [None] * len(cirs)
+    def _run_threaded(self, call, inputs):
+        """Every pass's ``call(inputs[k])`` result from thread ``k``."""
+        results = [[] for _ in inputs]
         errors = []
         barrier = threading.Barrier(self.N_THREADS, timeout=30.0)
 
         def worker(k):
             try:
                 barrier.wait()
-                for _ in range(3):  # overlap several passes per thread
-                    results[k] = call(cirs[k])
+                for _ in range(self.PASSES):
+                    results[k].append(call(inputs[k]))
             except Exception as error:  # surfaced below
                 errors.append(error)
 
@@ -701,6 +616,12 @@ class TestConcurrentCalls:
         assert errors == []
         return results
 
+    def _assert_threads_equal_sequential(self, call, inputs):
+        sequential = [call(item) for item in inputs]
+        assert self._run_threaded(call, inputs) == [
+            [want] * self.PASSES for want in sequential
+        ]
+
     def _cirs(self):
         rng = np.random.default_rng(43)
         return [
@@ -708,22 +629,77 @@ class TestConcurrentCalls:
         ]
 
     def test_detect_from_threads_equals_sequential(self):
-        cirs = self._cirs()
         detector = SearchAndSubtract(
             TemplateBank.paper_bank(3), SearchAndSubtractConfig(max_responses=3)
         )
-        call = lambda cir: detector.detect(cir, TS, noise_std=0.01)  # noqa: E731
-        sequential = [call(cir) for cir in cirs]
-        assert self._run_threaded(call, cirs) == sequential
+        self._assert_threads_equal_sequential(
+            lambda cir: detector.detect(cir, TS, noise_std=0.01), self._cirs()
+        )
 
     def test_classify_from_threads_equals_sequential(self):
-        cirs = self._cirs()
         classifier = PulseShapeClassifier(
             TemplateBank.paper_bank(3), SearchAndSubtractConfig(max_responses=3)
         )
-        call = lambda cir: classifier.classify(cir, TS, noise_std=0.01)  # noqa: E731
-        sequential = [call(cir) for cir in cirs]
-        assert self._run_threaded(call, cirs) == sequential
+        self._assert_threads_equal_sequential(
+            lambda cir: classifier.classify(cir, TS, noise_std=0.01),
+            self._cirs(),
+        )
+
+    @pytest.mark.parametrize(
+        "engine", [detect_batch, classify_batch],
+        ids=["detect_batch", "classify_batch"],
+    )
+    @pytest.mark.parametrize(
+        "bank", [TemplateBank.paper_bank(3), TemplateBank.spread(24)],
+        ids=["own_cover", "covered"],
+    )
+    def test_batch_engine_from_threads_equals_sequential(self, engine, bank):
+        """Every thread runs B=4 passes of one shape on the cached plan:
+        the covered bank's passes also keep a residual."""
+        rng = np.random.default_rng(53)
+        batches = [
+            np.stack([_random_cir(rng, 509, 3) for _ in range(4)])
+            for _ in range(self.N_THREADS)
+        ]
+        config = SearchAndSubtractConfig(max_responses=3)
+        self._assert_threads_equal_sequential(
+            lambda cirs: engine(cirs, bank, TS, config, noise_std=0.01),
+            batches,
+        )
+
+    @pytest.mark.parametrize(
+        "engine_type, method, batch_engine",
+        [
+            (SearchAndSubtract, "detect", detect_batch),
+            (PulseShapeClassifier, "classify", classify_batch),
+        ],
+        ids=["detect", "classify"],
+    )
+    def test_one_thread_reuses_scratch(self, engine_type, method, batch_engine):
+        """Passes at B=64, 8 and 64 on the Table I bank, with a pass on
+        a covered bank and a cache clear in between, equal the per-CIR
+        calls; the cache keeps one plan per shape, whatever B."""
+        cirs = _table1_cirs()
+        call = getattr(engine_type(_TABLE1_BANK, _TABLE1_CONFIG), method)
+        want = [call(cir, TS, noise_std=_TABLE1_NOISE) for cir in cirs]
+        other = TemplateBank.spread(24)
+        other_config = SearchAndSubtractConfig(
+            max_responses=4, upsample_factor=4
+        )
+        other_call = getattr(engine_type(other, other_config), method)
+        other_want = [
+            other_call(cir, TS, noise_std=_TABLE1_NOISE) for cir in cirs[:8]
+        ]
+
+        assert _in_batches(batch_engine, cirs, 64) == want
+        assert _in_batches(batch_engine, cirs, 8) == want
+        assert batch_engine(
+            cirs[:8], other, TS, other_config, noise_std=_TABLE1_NOISE
+        ) == other_want
+        clear_all_caches()
+        assert _in_batches(batch_engine, cirs, 64) == want
+        assert _in_batches(batch_engine, cirs, 8) == want
+        assert len(get_cache("detector_plans")) == 1
 
 
 class TestEngineTimers:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.constants import CIR_SAMPLING_PERIOD_S as TS
-from repro.core.batch import private_plan
+from repro.core.batch import filter_pass
 from repro.core.detection import SearchAndSubtractConfig
+from repro.core.plan import detector_plan
 from repro.core.pulse_id import ClassifiedResponse, PulseShapeClassifier
 from repro.signal.sampling import place_pulse
 from repro.signal.templates import TemplateBank
@@ -106,11 +107,11 @@ class TestFilterBankOutputs:
         )
         # The per-template curves of Fig. 6b: the engine's filter pass
         # over the classifier's bank at its upsampling factor.
-        plan = private_plan(
+        plan = detector_plan(
             list(classifier.bank), len(cir),
             classifier.config.upsample_factor, TS,
         )
-        outputs = plan.filter_pass(cir[np.newaxis, :])[0]
+        outputs = filter_pass(plan, cir[np.newaxis, :])[0][0]
         assert outputs.shape == (3, 512 * 4)
 
 

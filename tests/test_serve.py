@@ -10,8 +10,9 @@ The load-bearing claims:
   :class:`ServiceOverloadedError` (retry-after attached) instead of
   buffering or crashing.
 * **Deadline shedding** — an expired request is shed, never served.
-* **Graceful degradation** — a failing batched pass falls back to the
-  serial engine per item; a malformed payload errors alone.
+* **Graceful degradation** — a failing batched pass falls back to one
+  batch of one per item; an item that fails alone, or a malformed
+  payload, errors alone.
 * **Exactly-once accounting** — under drain stop, non-drain stop, and
   caller cancellation, every accepted request reaches exactly one
   terminal status.
@@ -355,8 +356,10 @@ class TestDegradation:
     def test_batch_failure_falls_back_to_serial(self, monkeypatch):
         import repro.serve.engine as serve_engine
 
-        def explode(*args, **kwargs):
-            raise RuntimeError("batched pass unavailable")
+        def explode(cirs, *args, **kwargs):
+            if len(cirs) > 1:
+                raise RuntimeError("batched pass unavailable")
+            return detect_batch(cirs, *args, **kwargs)
 
         monkeypatch.setattr(serve_engine, "detect_batch", explode)
         results, service = asyncio.run(
@@ -367,10 +370,29 @@ class TestDegradation:
         )
         assert all(r.status == "ok" for r in results)
         assert service.metrics.counter("serve.batch_fallbacks").value >= 1
-        # The fallback serves through the serial engine — identically.
+        # The fallback serves each item as a batch of one — identically.
         assert [r.responses for r in results] == [
             _pool_detect_single(None, k, pool=POOL) for k in range(4)
         ]
+
+    def test_item_failing_alone_errors_alone(self, monkeypatch):
+        """An engine that fails even on a batch of one turns each item
+        into a per-item error; no request is lost."""
+        import repro.serve.engine as serve_engine
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("engine unavailable")
+
+        monkeypatch.setattr(serve_engine, "detect_batch", explode)
+        results, service = asyncio.run(
+            _serve_all(
+                _requests(POOL[:4]),
+                ServeConfig(n_shards=1, batch_size=4),
+            )
+        )
+        assert [r.status for r in results] == ["error"] * 4
+        assert all("engine unavailable" in r.error for r in results)
+        assert service.metrics.counter("serve.batch_fallbacks").value >= 1
 
     def test_bad_payload_errors_alone(self):
         good = _requests(POOL[:2])
