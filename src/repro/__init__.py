@@ -9,8 +9,8 @@ A full UWB concurrent-ranging stack in pure Python:
   stochastic).
 * :mod:`repro.radio` — a behavioural Decawave DW1000 model (CIR
   accumulator, timestamps, frame timing, energy).
-* :mod:`repro.netsim` — a discrete-event network simulator with signal
-  superposition.
+* :mod:`repro.netsim` — a network simulator: positioned nodes, a
+  wireless medium with signal superposition, and city-scale swarms.
 * :mod:`repro.protocol` — SS-TWR, scheduled ranging, and the concurrent
   ranging protocol.
 * :mod:`repro.core` — the paper's contribution: search-and-subtract

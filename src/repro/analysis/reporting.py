@@ -46,10 +46,11 @@ def generate_report(
     names:
         Experiment names from the CLI registry (default: all).
     trials:
-        Trial-count override for experiments that accept one.
+        Trial-count override for the experiments whose ``run()`` takes
+        one (:func:`repro.cli.route_flags`).
     """
     # Imported here to avoid a circular import (cli imports experiments).
-    from repro.cli import EXPERIMENTS
+    from repro.cli import EXPERIMENTS, route_flags
 
     selected = list(names) if names is not None else list(EXPERIMENTS)
     unknown = [n for n in selected if n not in EXPERIMENTS]
@@ -66,10 +67,8 @@ def generate_report(
         "",
     ]
     for name in selected:
-        module, takes_trials = EXPERIMENTS[name]
-        if takes_trials and trials is not None:
-            result = module.run(trials=trials)
-        else:
-            result = module.run()
+        module = EXPERIMENTS[name]
+        kwargs, _ = route_flags(module, {"trials": trials})
+        result = module.run(**kwargs)
         sections.append(_result_to_markdown(result))
     return "\n".join(sections)

@@ -8,8 +8,14 @@ Examples::
     python -m repro run all --trials 100
     python -m repro run table1 --trials 1000 --workers 4 --seed 7
 
-Global execution flags for ``run`` (every experiment takes all of
-them as keyword-only ``run()`` parameters):
+Execution flags for ``run``.  Each maps to the keyword-only ``run()``
+parameter of the same name, and an experiment gets only the flags its
+``run()`` signature names (``list`` shows them); a given flag that an
+experiment does not take is skipped with a note on stderr:
+
+``--trials N``
+    Monte-Carlo trial count.  Experiments that run a fixed set of
+    deterministic trials take none.
 
 ``--seed SEED``
     Master seed for the Monte-Carlo trial loops.  Every experiment runs
@@ -23,13 +29,23 @@ them as keyword-only ``run()`` parameters):
     chunks of trials onto a ``multiprocessing`` pool.  After a run the
     CLI prints the runtime metrics report: trials/sec, template-bank
     cache hit rate, and total wall-clock time.
+
+``--batch-size B|auto``
+    Trials per engine call, for the experiments with a batched engine.
+    Results are identical for any value.
+
+``--checkpoint DIR [--resume]``
+    Persist finished trials to ``DIR``; re-run with ``--resume`` to pick
+    up an interrupted run.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
-from typing import Dict, List
+from types import ModuleType
+from typing import Any, Dict, List, Tuple
 
 from repro.experiments import (
     ablation_amplitude,
@@ -56,61 +72,79 @@ from repro.experiments import (
     table1_pulse_id,
 )
 
-#: name -> (module, accepts-trials?) registry.
-EXPERIMENTS: Dict[str, tuple] = {
-    "fig1": (fig1_bandwidth, False),
-    "fig2": (fig2_cir, True),
-    "fig3": (fig3_timing, False),
-    "fig4": (fig4_detection, True),
-    "fig5": (fig5_pulse_shapes, False),
-    "fig6": (fig6_pulse_id, True),
-    "fig7": (fig7_overlap, True),
-    "fig8": (fig8_combined, True),
-    "table1": (table1_pulse_id, True),
-    "sect5": (sect5_precision, True),
-    "sect8": (sect8_scalability, False),
-    "nlos": (nlos_study, True),
-    "ablation-detectors": (ablation_detectors, True),
-    "ablation-bank": (ablation_bank, True),
-    "ablation-amplitude": (ablation_amplitude, True),
-    "ablation-twr": (ablation_twr, True),
-    "ablation-upsampling": (ablation_upsampling, True),
-    "capacity-stress": (capacity_stress, True),
-    "localization": (localization_exp, True),
-    "chaos": (chaos_sweep, True),
-    "security": (security_study, True),
-    "swarm": (swarm_scale, True),
+#: name -> experiment module; ``module.run``'s signature says which
+#: flags the experiment takes (:func:`route_flags`).
+EXPERIMENTS: Dict[str, ModuleType] = {
+    "fig1": fig1_bandwidth,
+    "fig2": fig2_cir,
+    "fig3": fig3_timing,
+    "fig4": fig4_detection,
+    "fig5": fig5_pulse_shapes,
+    "fig6": fig6_pulse_id,
+    "fig7": fig7_overlap,
+    "fig8": fig8_combined,
+    "table1": table1_pulse_id,
+    "sect5": sect5_precision,
+    "sect8": sect8_scalability,
+    "nlos": nlos_study,
+    "ablation-detectors": ablation_detectors,
+    "ablation-bank": ablation_bank,
+    "ablation-amplitude": ablation_amplitude,
+    "ablation-twr": ablation_twr,
+    "ablation-upsampling": ablation_upsampling,
+    "capacity-stress": capacity_stress,
+    "localization": localization_exp,
+    "chaos": chaos_sweep,
+    "security": security_study,
+    "swarm": swarm_scale,
 }
 
+#: The ``run`` flags, by the ``run()`` parameter each one sets.
+RUN_FLAGS = ("trials", "seed", "workers", "batch_size", "checkpoint")
 
-def _run_one(
-    name: str,
-    trials: int | None,
-    seed: int | None = None,
-    workers: int = 1,
-    checkpoint: str | None = None,
-    batch_size=None,
-) -> None:
-    """Run one experiment with the flags the user gave.
 
-    Flags left at ``None`` are not passed, so the experiment's own
-    default wins.
+def route_flags(
+    module: ModuleType, flags: Dict[str, Any]
+) -> Tuple[Dict[str, Any], List[str]]:
+    """Split the flags a user gave into those ``module.run`` takes and the rest.
+
+    ``flags`` maps ``run()`` parameter names to values; a ``None`` value
+    was not given and is dropped, so the experiment's own default wins.
+    Returns ``(kwargs, skipped)``: the keyword arguments for
+    ``module.run``, and the names of the given flags its signature does
+    not take.
     """
+    parameters = inspect.signature(module.run).parameters
+    kwargs: Dict[str, Any] = {}
+    skipped: List[str] = []
+    for name, value in flags.items():
+        if value is None:
+            continue
+        if name in parameters:
+            kwargs[name] = value
+        else:
+            skipped.append(name)
+    return kwargs, skipped
+
+
+def _option(name: str) -> str:
+    """The command-line spelling of a ``run()`` parameter name."""
+    return "--" + name.replace("_", "-")
+
+
+def _run_one(name: str, flags: Dict[str, Any]) -> None:
+    """Run one experiment with the flags it takes of those the user gave."""
     from repro.runtime import MetricsRegistry
 
-    module, _takes_trials = EXPERIMENTS[name]
+    module = EXPERIMENTS[name]
+    kwargs, skipped = route_flags(module, flags)
+    for flag in skipped:
+        print(
+            f"note: {name} does not take {_option(flag)}; skipped",
+            file=sys.stderr,
+        )
     metrics = MetricsRegistry()
-    flags = dict(
-        trials=trials,
-        seed=seed,
-        workers=workers,
-        batch_size=batch_size,
-        checkpoint=checkpoint,
-    )
-    result = module.run(
-        metrics=metrics,
-        **{flag: value for flag, value in flags.items() if value is not None},
-    )
+    result = module.run(metrics=metrics, **kwargs)
     print(result.render())
     if not metrics.is_empty():
         print()
@@ -186,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--workers",
         type=int,
-        default=1,
+        default=None,
         help="parallel trial workers (default: 1, serial)",
     )
     run_parser.add_argument(
@@ -196,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="B",
         help="trials per engine call for experiments with a batched "
         "engine: an integer, or 'auto' to let the runtime pick a batch "
-        "from the workload shape (CIR length, template-bank size, "
-        "worker count); experiments without one ignore the flag",
+        "from the workload shape (CIR length, filter channels the engine "
+        "searches, worker count)",
     )
     run_parser.add_argument(
         "--checkpoint",
@@ -265,10 +299,11 @@ def main(argv: List[str] | None = None) -> int:
 
     if args.command == "list":
         width = max(len(name) for name in EXPERIMENTS)
-        for name, (module, takes_trials) in EXPERIMENTS.items():
+        for name, module in EXPERIMENTS.items():
             doc = (module.__doc__ or "").strip().splitlines()[0]
-            flag = " [--trials]" if takes_trials else ""
-            print(f"{name.ljust(width)}  {doc}{flag}")
+            taken, _ = route_flags(module, dict.fromkeys(RUN_FLAGS, True))
+            options = " ".join(_option(flag) for flag in taken)
+            print(f"{name.ljust(width)}  {doc} [{options}]")
         return 0
 
     names = list(args.experiments)
@@ -282,7 +317,7 @@ def main(argv: List[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.workers < 1:
+    if args.workers is not None and args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
         return 2
     from repro.runtime import checkpoint_usage_error
@@ -291,13 +326,7 @@ def main(argv: List[str] | None = None) -> int:
     if error:
         print(error, file=sys.stderr)
         return 2
+    flags = {flag: getattr(args, flag) for flag in RUN_FLAGS}
     for name in names:
-        _run_one(
-            name,
-            args.trials,
-            seed=args.seed,
-            workers=args.workers,
-            checkpoint=args.checkpoint,
-            batch_size=args.batch_size,
-        )
+        _run_one(name, flags)
     return 0

@@ -64,7 +64,7 @@ from repro.core.ranging import (
     concurrent_distances,
     sort_responses,
 )
-from repro.core.alignment import distance_axis, align_responses_to_distance
+from repro.core.alignment import distance_axis
 from repro.core.rpm import SlotPlan, paper_slot_count, safe_slot_count
 from repro.core.scheme import CombinedScheme, ResponderAssignment
 
@@ -91,7 +91,6 @@ __all__ = [
     "concurrent_distances",
     "sort_responses",
     "distance_axis",
-    "align_responses_to_distance",
     "SlotPlan",
     "paper_slot_count",
     "safe_slot_count",

@@ -11,13 +11,9 @@ example scripts use.
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
 import numpy as np
 
 from repro.constants import SPEED_OF_LIGHT
-from repro.core.detection import DetectedResponse
-from repro.core.ranging import sort_responses
 
 
 def distance_axis(
@@ -39,22 +35,3 @@ def distance_axis(
         d_twr_m
         + (indices - first_peak_index) * sampling_period_s * SPEED_OF_LIGHT / 2.0
     )
-
-
-def align_responses_to_distance(
-    responses: Sequence[DetectedResponse],
-    d_twr_m: float,
-) -> List[float]:
-    """Distance of each response after anchoring the earliest to d_TWR.
-
-    Equivalent to :func:`repro.core.ranging.concurrent_distances`; kept
-    here as the alignment-centric view used by plotting/diagnostic code.
-    """
-    ordered = sort_responses(responses)
-    if not ordered:
-        return []
-    tau_1 = ordered[0].delay_s
-    return [
-        d_twr_m + (response.delay_s - tau_1) * SPEED_OF_LIGHT / 2.0
-        for response in ordered
-    ]

@@ -36,13 +36,13 @@ Each thread runs its passes on its own scratch (:func:`filter_pass`):
 the product, magnitude, upsampling-pad and — for a bank with templates
 outside its cover — residual buffers of the last
 :class:`~repro.core.plan.DetectorPlan` the thread ran, grown to the
-largest B it has run on that plan and replaced when it runs another
-plan.  A B-row pass works on leading-axis ``[:B]`` views of them, so a
-B=64 Table I pass reuses its tens of megabytes instead of allocating
-them on every call, while the ``detector_plans`` cache holds only
-immutable plans: :func:`detect_batch` and
-:func:`~repro.core.batch_id.classify_batch` are safe to call from
-several threads at once.
+largest B it has run on that plan, replaced when it runs another plan
+and freed by :func:`~repro.runtime.cache.clear_all_caches`.  A B-row
+pass works on leading-axis ``[:B]`` views of them, so a B=64 Table I
+pass reuses its tens of megabytes instead of allocating them on every
+call, while the ``detector_plans`` cache holds only immutable plans:
+:func:`detect_batch` and :func:`~repro.core.batch_id.classify_batch`
+are safe to call from several threads at once.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from repro.core.detection import (
     _per_trial_noise,
 )
 from repro.core.plan import DetectorPlan, detector_plan
+from repro.runtime.cache import on_clear
 from repro.runtime.metrics import global_metrics
 from repro.signal.pulses import Pulse
 
@@ -105,6 +106,12 @@ class _Workspace:
 
 
 _thread = threading.local()
+
+
+@on_clear
+def _drop_workspace() -> None:
+    """Free this thread's scratch, and the plan it holds, with the caches."""
+    _thread.workspace = None
 
 
 def _workspace(plan: DetectorPlan, rows: int) -> _Workspace:

@@ -20,6 +20,7 @@ the batched classifier end-to-end with unchanged per-trial seeding.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,11 +28,7 @@ import numpy as np
 from repro.core.batch import search_and_subtract
 from repro.core.detection import SearchAndSubtractConfig
 from repro.core.plan import bank_cover
-from repro.core.pulse_id import (
-    ClassifiedResponse,
-    PulseShapeClassifier,
-    classify_responses,
-)
+from repro.core.pulse_id import ClassifiedResponse, classify_responses
 from repro.runtime.executor import BatchTrial, WorkloadShape
 from repro.signal.templates import TemplateBank
 
@@ -101,25 +98,6 @@ def classify_batch(
 # -- runtime bridge ----------------------------------------------------------
 
 
-def _classify_trial_single(
-    rng: np.random.Generator,
-    index: int,
-    *,
-    prepare: PrepareFn,
-    finish: FinishFn,
-    bank: TemplateBank,
-    sampling_period_s: float,
-    config: Optional[SearchAndSubtractConfig],
-) -> Any:
-    """One trial through :meth:`PulseShapeClassifier.classify`."""
-    cir, noise_std, context = prepare(rng, index)
-    classifier = PulseShapeClassifier(bank, config)
-    classified = classifier.classify(
-        np.asarray(cir), sampling_period_s, noise_std=float(noise_std)
-    )
-    return finish(classified, context, rng, index)
-
-
 def _classify_trial_batch(
     rngs: Sequence[np.random.Generator],
     indices: Sequence[int],
@@ -132,11 +110,11 @@ def _classify_trial_batch(
 ) -> List[Any]:
     """A group of trials through one batched classifier pass.
 
-    Per-trial random streams are untouched relative to the serial path:
-    each trial's ``prepare`` consumes its own generator, classification
-    consumes none, and ``finish`` resumes the same generator — so entry
-    ``k`` equals ``_classify_trial_single(rngs[k], indices[k], ...)``
-    exactly (the executor's :class:`BatchTrial` contract).
+    Each trial's ``prepare`` consumes its own generator, classification
+    consumes none, and ``finish`` resumes the same generator, so entry
+    ``k`` does not depend on the rest of the group: it equals the same
+    trial run as a batch of one (the executor's :class:`BatchTrial`
+    contract).
     """
     prepared = [
         prepare(rng, index) for rng, index in zip(rngs, indices)
@@ -163,13 +141,12 @@ class ClassifyBatchTrial(BatchTrial):
         prepare(rng, index) -> (cir, noise_std, context)
         finish(classified, context, rng, index) -> value
 
-    and the trial runs either one at a time (``prepare`` →
-    :meth:`PulseShapeClassifier.classify` → ``finish``) or in groups
-    through :func:`classify_batch` (all ``prepare`` calls, one batched
-    engine pass over the stacked CIRs with a per-trial ``noise_std``
-    vector, all ``finish`` calls).  Each trial keeps its own seed-child
-    generator through both halves, so batched == serial byte-for-byte
-    given the engine equivalence.
+    and each group of trials runs through :func:`classify_batch` (all
+    ``prepare`` calls, one batched engine pass over the stacked CIRs
+    with a per-trial ``noise_std`` vector, all ``finish`` calls); a lone
+    trial is a group of one.  Each trial keeps its own seed-child
+    generator through both halves, so any grouping gives the same
+    values byte-for-byte given the engine equivalence.
 
     ``cir_length`` (when known up front, e.g. the radio's fixed
     ``CIR_LENGTH_PRF64``) attaches a
@@ -193,15 +170,6 @@ class ClassifyBatchTrial(BatchTrial):
         config: Optional[SearchAndSubtractConfig] = None,
         cir_length: Optional[int] = None,
     ) -> None:
-        from functools import partial
-
-        bound = dict(
-            prepare=prepare,
-            finish=finish,
-            bank=bank,
-            sampling_period_s=float(sampling_period_s),
-            config=config,
-        )
         workload = None
         if cir_length is not None:
             factor = (config or SearchAndSubtractConfig()).upsample_factor
@@ -213,13 +181,13 @@ class ClassifyBatchTrial(BatchTrial):
             )
         BatchTrial.__init__(
             self,
-            single=partial(_classify_trial_single, **bound),
-            batch=partial(_classify_trial_batch, **bound),
+            batch=partial(
+                _classify_trial_batch,
+                prepare=prepare,
+                finish=finish,
+                bank=bank,
+                sampling_period_s=float(sampling_period_s),
+                config=config,
+            ),
             workload=workload,
-        )
-        # Frozen parent: expose the binding read-only for introspection.
-        object.__setattr__(self, "bank", bank)
-        object.__setattr__(self, "config", config)
-        object.__setattr__(
-            self, "sampling_period_s", float(sampling_period_s)
         )

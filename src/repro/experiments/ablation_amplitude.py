@@ -104,17 +104,14 @@ def run(
     trials: int = 60,
     seed: int = 53,
     workers: int = 1,
-    batch_size=1,
     checkpoint=None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> ExperimentResult:
     """Sweep response separations and compare amplitude estimators.
 
-    ``trials`` is the number of two-response CIRs per separation;
-    ``batch_size`` is accepted for the standard run signature and
-    ignored (each separation is one indivisible sweep cell).
+    ``trials`` is the number of two-response CIRs per separation; each
+    separation is one trial of the runner.
     """
-    del batch_size  # standard-signature parameter; unused
     result = ExperimentResult(
         experiment_id="Ablation A3",
         description="step-4 amplitude estimate vs joint least squares",

@@ -86,17 +86,14 @@ def run(
     trials: int = 100,
     seed: int = 41,
     workers: int = 1,
-    batch_size=1,
     checkpoint=None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> ExperimentResult:
     """Sweep the bank size at fixed SNR.
 
     ``trials`` is the number of single-response classifications per bank
-    size; ``batch_size`` is accepted for the standard run signature and
-    ignored (each size is one indivisible sweep cell).
+    size; each size is one trial of the runner.
     """
-    del batch_size  # standard-signature parameter; unused
     result = ExperimentResult(
         experiment_id="Ablation A2",
         description="shape-classification accuracy vs bank size",

@@ -13,9 +13,10 @@ executor groups B trials per engine call —
 :func:`repro.core.batch.detect_batch` for search-and-subtract and
 :meth:`~repro.core.threshold.ThresholdDetector.detect_batch` for the
 baseline — one 2-D FFT pass per group instead of B filter-bank passes.
-Both paths share :func:`_make_cir` (same per-trial RNG stream) and the
-engines are numerically identical, so ``batch_size`` changes throughput
-only; ``tests/test_runtime_experiments.py`` asserts the equality.
+Each trial draws its CIR from its own RNG stream and the engines'
+rows do not depend on the rest of the batch, so ``batch_size`` changes
+throughput only; ``tests/test_runtime_experiments.py`` asserts the
+equality.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.analysis.metrics import detection_rate
 from repro.analysis.tables import Table
 from repro.constants import CIR_SAMPLING_PERIOD_S
 from repro.core.batch import detect_batch
-from repro.core.detection import SearchAndSubtract, SearchAndSubtractConfig
+from repro.core.detection import SearchAndSubtractConfig
 from repro.core.threshold import ThresholdConfig, ThresholdDetector
 from repro.experiments.common import ExperimentResult
 from repro.runtime import (
@@ -65,12 +66,7 @@ def _positions(separation_ns: float) -> Tuple[float, float]:
 def _make_cir(
     rng: np.random.Generator, separation_ns: float, snr_db: float, template
 ) -> np.ndarray:
-    """One synthetic two-pulse CIR.
-
-    Shared by the per-trial and batched paths so both consume the
-    trial's RNG stream identically — the precondition for
-    ``batch_size=B`` runs equalling ``batch_size=1`` runs exactly.
-    """
+    """One synthetic two-pulse CIR from the trial's own RNG stream."""
     amplitude = 10.0 ** (snr_db / 20.0)
     cir = np.zeros(CIR_LENGTH, dtype=complex)
     for position in _positions(separation_ns):
@@ -100,30 +96,6 @@ def _both_found(detections, separation_ns: float) -> bool:
     return True
 
 
-def _separation_trial(
-    rng: np.random.Generator,
-    index: int,
-    *,
-    separation_ns: float,
-    snr_db: float = SNR_DB,
-) -> Tuple[bool, bool]:
-    """Per-trial path: one CIR through both serial detectors."""
-    template = pulse(TC_PGDELAY_DEFAULT)
-    cir = _make_cir(rng, separation_ns, snr_db, template)
-    search = SearchAndSubtract(template, _SEARCH_CONFIG)
-    threshold = ThresholdDetector(template, _THRESHOLD_CONFIG)
-    search_found = search.detect(
-        cir, CIR_SAMPLING_PERIOD_S, noise_std=NOISE_STD
-    )
-    threshold_found = threshold.detect(
-        cir, CIR_SAMPLING_PERIOD_S, noise_std=NOISE_STD
-    )
-    return (
-        _both_found(search_found, separation_ns),
-        _both_found(threshold_found, separation_ns),
-    )
-
-
 def _separation_batch(
     rngs: List[np.random.Generator],
     indices: List[int],
@@ -131,7 +103,7 @@ def _separation_batch(
     separation_ns: float,
     snr_db: float = SNR_DB,
 ) -> List[Tuple[bool, bool]]:
-    """Batched path: B CIRs through one engine pass per detector."""
+    """A group of trials: B CIRs through one engine pass per detector."""
     template = pulse(TC_PGDELAY_DEFAULT)
     cirs = np.stack(
         [_make_cir(rng, separation_ns, snr_db, template) for rng in rngs]
@@ -182,7 +154,6 @@ def run(
     threshold_rates = []
     for cell, separation in enumerate(SEPARATIONS_NS):
         fn = BatchTrial(
-            partial(_separation_trial, separation_ns=separation),
             partial(_separation_batch, separation_ns=separation),
             workload=WorkloadShape(
                 cir_length=CIR_LENGTH,

@@ -70,16 +70,11 @@ def run(
     trials: int = 400,
     seed: int = 59,
     workers: int = 1,
-    batch_size=1,
     checkpoint=None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> ExperimentResult:
-    """Bias/std of the three TWR schemes over ``trials`` exchanges.
-
-    ``batch_size`` is accepted for the standard run signature and
-    ignored (one exchange triple per trial).
-    """
-    del batch_size  # standard-signature parameter; no batched engine here
+    """Bias/std of the three TWR schemes over ``trials`` exchanges
+    (one exchange triple per trial)."""
     metrics = metrics if metrics is not None else MetricsRegistry()
     report = run_trials(
         partial(_trial, seed=seed),

@@ -85,17 +85,14 @@ def run(
     trials: int = 80,
     seed: int = 61,
     workers: int = 1,
-    batch_size=1,
     checkpoint=None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> ExperimentResult:
     """Sweep the upsampling factor and report ToA precision vs cost.
 
     ``trials`` is the number of single-pulse detections per factor;
-    ``batch_size`` is accepted for the standard run signature and
-    ignored (each factor is one indivisible sweep cell).
+    each factor is one trial of the runner.
     """
-    del batch_size  # standard-signature parameter; unused
     result = ExperimentResult(
         experiment_id="Ablation A5",
         description="FFT upsampling factor vs ToA precision and runtime",

@@ -158,17 +158,14 @@ def run(
     trials: int = 40,
     seed: int = 67,
     workers: int = 1,
-    batch_size=1,
     checkpoint=None,
     metrics: MetricsRegistry | None = None,
 ) -> ExperimentResult:
     """Sweep responder counts and report per-responder ID rates.
 
     ``trials`` is the number of ranging rounds simulated per responder
-    count; ``batch_size`` is accepted for the standard run signature
-    and ignored (each count is one indivisible simulation).
+    count; each count is one trial of the runner.
     """
-    del batch_size  # standard-signature parameter; unused
     result = ExperimentResult(
         experiment_id="Capacity stress (ours)",
         description="identification rate as the Fig. 8 scheme fills up",

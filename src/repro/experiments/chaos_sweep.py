@@ -177,7 +177,6 @@ def run(
     trials: int = 20,
     seed: int = 23,
     workers: int = 1,
-    batch_size=1,
     checkpoint=None,
     metrics: Optional[MetricsRegistry] = None,
     intensities: Sequence[float] = INTENSITIES,
@@ -190,11 +189,9 @@ def run(
     the campaign machinery keeps every cell crash-free — retries and
     quarantines grow instead of exceptions.
 
-    ``batch_size`` is accepted for the standard run signature and
-    ignored (full resilient campaigns per trial); ``checkpoint``
-    persists per-cell trial checkpoints for resumable sweeps.
+    ``checkpoint`` persists per-cell trial checkpoints for resumable
+    sweeps.
     """
-    del batch_size  # standard-signature parameter; no batched engine here
     metrics = metrics if metrics is not None else MetricsRegistry()
     result = ExperimentResult(
         experiment_id="Chaos sweep",

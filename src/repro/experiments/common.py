@@ -5,15 +5,14 @@ the reproduced table, and a flat dictionary of scalar metrics with their
 paper reference values, so EXPERIMENTS.md and the benchmark printers can
 treat every experiment uniformly.
 
-Every experiment module exposes the **standard run API**::
-
-    run(*, trials=..., seed=..., workers=1, batch_size=1,
-        checkpoint=None, metrics=None, ...extras) -> ExperimentResult
-
-with keyword-only parameters in that canonical vocabulary
-(``batch_size`` accepts an int or ``"auto"``; ``checkpoint`` is a
-directory for resumable runs), which the CLI passes its flags to
-directly.
+Every experiment module exposes ``run(*, ...) -> ExperimentResult``
+with keyword-only parameters, and takes only the ones it reads.  The
+names that match a ``repro run`` flag carry that flag: ``trials``,
+``seed``, ``workers``, ``batch_size`` (an int or ``"auto"``) and
+``checkpoint`` (a directory for resumable runs); every ``run()`` also
+takes a ``metrics`` registry.  The CLI reads each ``run()`` signature
+to decide which of the given flags it passes
+(:func:`repro.cli.route_flags`).
 """
 
 from __future__ import annotations

@@ -114,20 +114,16 @@ def _bandwidth_trial(
 
 def run(
     *,
-    trials: int | None = None,
     seed: int = 0,
     workers: int = 1,
-    batch_size=1,
     checkpoint=None,
     metrics: MetricsRegistry | None = None,
 ) -> ExperimentResult:
     """Compare resolvable components and edge steepness at both bandwidths.
 
-    ``trials`` and ``batch_size`` are accepted for the standard run
-    signature and ignored: the experiment always renders exactly the two
-    Fig. 1b bandwidths, one (deterministic) trial each.
+    The experiment always renders exactly the two Fig. 1b bandwidths,
+    one (deterministic) trial each, so it takes no trial count.
     """
-    del trials, batch_size  # standard-signature parameters; unused
     result = ExperimentResult(
         experiment_id="Fig. 1",
         description="multipath resolvability: 900 MHz vs 50 MHz bandwidth",

@@ -119,7 +119,6 @@ def run(
     trials: int = 25,
     seed: int = 2,
     workers: int = 1,
-    batch_size=1,
     checkpoint=None,
     metrics: MetricsRegistry | None = None,
 ) -> ExperimentResult:
@@ -130,11 +129,9 @@ def run(
     Monte-Carlo layer reruns the capture ``trials`` times on the trial
     executor to report how often all six components resolve.
 
-    ``batch_size`` is accepted for the standard run signature and
-    ignored (single-capture trials, no batched engine); ``checkpoint``
-    persists Monte-Carlo trial checkpoints for resumable runs.
+    ``checkpoint`` persists Monte-Carlo trial checkpoints for resumable
+    runs.
     """
-    del batch_size  # standard-signature parameter; no batched engine here
     result = ExperimentResult(
         experiment_id="Fig. 2",
         description="estimated CIR with LOS and multipath components",

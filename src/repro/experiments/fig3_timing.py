@@ -45,20 +45,16 @@ def _timing_trial(rng: np.random.Generator, index: int) -> tuple:
 
 def run(
     *,
-    trials: int | None = None,
     seed: int = 0,
     workers: int = 1,
-    batch_size=1,
     checkpoint=None,
     metrics: MetricsRegistry | None = None,
 ) -> ExperimentResult:
     """Recompute the Sect. III timing budget from the PHY model.
 
-    ``trials``, ``workers``, and ``batch_size`` are accepted for the
-    standard run signature and ignored beyond executor plumbing: the
-    budget is one deterministic trial.
+    The budget is one deterministic trial, so the experiment takes no
+    trial count.
     """
-    del trials, batch_size  # standard-signature parameters; unused
     result = ExperimentResult(
         experiment_id="Fig. 3 / Sect. III",
         description="frame structure timing and minimum response delay",

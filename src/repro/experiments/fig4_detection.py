@@ -149,7 +149,6 @@ def run(
     seed: int = 11,
     compensate_tx_quantization: bool = False,
     workers: int = 1,
-    batch_size=1,
     checkpoint=None,
     metrics: MetricsRegistry | None = None,
 ) -> ExperimentResult:
@@ -157,12 +156,8 @@ def run(
 
     ``workers`` parallelises the rounds; for a fixed ``seed`` the
     reproduced numbers are identical for any worker count.
-    ``batch_size`` is accepted for the standard run signature and
-    ignored (each trial runs a full protocol round through the serial
-    session); ``checkpoint`` persists trial checkpoints for resumable
-    runs.
+    ``checkpoint`` persists trial checkpoints for resumable runs.
     """
-    del batch_size  # standard-signature parameter; no batched engine here
     report = run_trials(
         partial(_trial, compensate_tx_quantization=compensate_tx_quantization),
         trials,

@@ -57,20 +57,16 @@ def _shape_trial(
 
 def run(
     *,
-    trials: int | None = None,
     seed: int = 0,
     workers: int = 1,
-    batch_size=1,
     checkpoint=None,
     metrics: MetricsRegistry | None = None,
 ) -> ExperimentResult:
     """Synthesise the four paper shapes and check their properties.
 
-    ``trials`` and ``batch_size`` are accepted for the standard run
-    signature and ignored: the experiment always renders exactly the
-    four Fig. 5 registers, one (deterministic) trial each.
+    The experiment always renders exactly the four Fig. 5 registers, one
+    (deterministic) trial each, so it takes no trial count.
     """
-    del trials, batch_size  # standard-signature parameters; unused
     result = ExperimentResult(
         experiment_id="Fig. 5",
         description="pulse shape vs TC_PGDELAY register",

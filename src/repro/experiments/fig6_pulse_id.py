@@ -69,7 +69,6 @@ def run(
     trials: int = 300,
     seed: int = 5,
     workers: int = 1,
-    batch_size=1,
     checkpoint=None,
     metrics: MetricsRegistry | None = None,
 ) -> ExperimentResult:
@@ -77,11 +76,8 @@ def run(
 
     ``workers`` parallelises the rounds; for a fixed ``seed`` the
     reproduced numbers are identical for any worker count.
-    ``batch_size`` is accepted for the standard run signature and
-    ignored (full protocol rounds); ``checkpoint`` persists trial
-    checkpoints for resumable runs.
+    ``checkpoint`` persists trial checkpoints for resumable runs.
     """
-    del batch_size  # standard-signature parameter; no batched engine here
     report = run_trials(
         _trial,
         trials,

@@ -167,17 +167,13 @@ def run(
     trials: int = 500,
     seed: int = 23,
     workers: int = 1,
-    batch_size=1,
-    checkpoint=None,
     metrics: MetricsRegistry | None = None,
 ) -> ExperimentResult:
     """Reproduce the Sect. VI comparison (paper count: 2000 trials).
 
-    ``batch_size`` and ``checkpoint`` are accepted for the standard run
-    signature; the rejection-sampled wave loop keeps its own bookkeeping
-    (no batched engine, no per-wave checkpoints), so both are ignored.
+    The rejection-sampled wave loop keeps its own bookkeeping, so the
+    experiment takes no batch size and no checkpoint directory.
     """
-    del batch_size, checkpoint  # standard-signature parameters; unused
     outcomes = _collect_overlapping(trials, seed, workers, metrics)
     search_ok = [s for s, _ in outcomes]
     threshold_ok = [t for _, t in outcomes]

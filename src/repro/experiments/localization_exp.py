@@ -91,17 +91,14 @@ def run(
     trials: int = 20,
     seed: int = 43,
     workers: int = 1,
-    batch_size=1,
     checkpoint=None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> ExperimentResult:
     """Track the tag along the path and report position errors.
 
-    ``trials`` is the waypoint count of the rectangular path.
-    ``batch_size`` is accepted for the standard run signature and
-    ignored (one fix per trial).
+    ``trials`` is the waypoint count of the rectangular path (one fix
+    per trial).
     """
-    del batch_size  # standard-signature parameter; no batched engine here
     metrics = metrics if metrics is not None else MetricsRegistry()
     report = run_trials(
         partial(_trial, n_waypoints=trials),

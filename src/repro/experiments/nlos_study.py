@@ -100,17 +100,10 @@ def run(
     trials: int = 60,
     seed: int = 47,
     workers: int = 1,
-    batch_size=1,
-    checkpoint=None,
     metrics: MetricsRegistry | None = None,
 ) -> ExperimentResult:
-    """Sweep the channel presets.
-
-    ``batch_size`` and ``checkpoint`` are accepted for the standard run
-    signature and ignored (full protocol rounds per trial, per-cell
-    loops with their own seeding).
-    """
-    del batch_size, checkpoint  # standard-signature parameters; unused
+    """Sweep the channel presets (full protocol rounds per trial,
+    per-cell loops with their own seeding)."""
     result = ExperimentResult(
         experiment_id="NLOS study (future work)",
         description="concurrent ranging vs channel severity",

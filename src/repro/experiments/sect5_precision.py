@@ -69,18 +69,14 @@ def run(
     trials: int = 1000,
     seed: int = 29,
     workers: int = 1,
-    batch_size=1,
     checkpoint=None,
     metrics: MetricsRegistry | None = None,
 ) -> ExperimentResult:
     """Reproduce the Sect. V precision comparison (paper: 5000 trials).
 
-    ``batch_size`` is accepted for the standard run signature; the
-    SS-TWR trials are scalar (no batched engine) so it is ignored.
     ``checkpoint`` persists per-shape trial checkpoints for resumable
     runs.
     """
-    del batch_size  # standard-signature parameter; no batched engine here
     result = ExperimentResult(
         experiment_id="Sect. V precision",
         description="SS-TWR error std per pulse shape (2 nodes, 3 m apart)",

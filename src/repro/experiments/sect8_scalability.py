@@ -55,10 +55,8 @@ def _network_trial(
 
 def run(
     *,
-    trials: int | None = None,
     seed: int = 0,
     workers: int = 1,
-    batch_size=1,
     checkpoint=None,
     metrics: MetricsRegistry | None = None,
 ) -> ExperimentResult:
@@ -66,12 +64,10 @@ def run(
 
     The network sweep (one trial per network size) runs on
     :func:`repro.runtime.run_trials`, so ``--workers`` parallelises the
-    rows and ``--checkpoint`` persists them.  ``trials`` and
-    ``batch_size`` are accepted for the standard run signature and
-    ignored: the sweep always runs exactly one (deterministic) trial
-    per network size.
+    rows and ``--checkpoint`` persists them.  The sweep always runs
+    exactly one (deterministic) trial per network size, so it takes no
+    trial count.
     """
-    del trials, batch_size  # standard-signature parameters; unused
     result = ExperimentResult(
         experiment_id="Sect. VIII",
         description="scalability: slots, capacity, and message cost",

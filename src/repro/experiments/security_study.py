@@ -267,7 +267,6 @@ def run(
     trials: int = 10,
     seed: int = 41,
     workers: int = 1,
-    batch_size=1,
     checkpoint=None,
     metrics: Optional[MetricsRegistry] = None,
     attackers: Sequence[str] = ATTACKERS,
@@ -280,11 +279,9 @@ def run(
     intensity on the grid: per-attacker detection rate and defended /
     undefended success rates, plus the clean-cell false-positive rate.
 
-    ``batch_size`` is accepted for the standard run signature and
-    ignored (full campaigns per trial); ``checkpoint`` persists per-cell
-    trial checkpoints for resumable grids.
+    ``checkpoint`` persists per-cell trial checkpoints for resumable
+    grids.
     """
-    del batch_size  # standard-signature parameter; no batched engine here
     metrics = metrics if metrics is not None else MetricsRegistry()
     result = ExperimentResult(
         experiment_id="Security study",

@@ -123,7 +123,6 @@ def run(
     trials: int = 8,
     seed: int = 71,
     workers: int = 1,
-    batch_size=1,
     checkpoint=None,
     metrics: Optional[MetricsRegistry] = None,
     counts: Sequence[int] = RESPONDER_COUNTS,
@@ -132,13 +131,11 @@ def run(
     """Sweep responder counts and report the Sect. VIII curve.
 
     ``trials`` is the number of swarm epochs simulated per responder
-    count; ``batch_size`` is accepted for the standard run signature
-    and ignored (the swarm batches CIR classification internally, see
+    count; the swarm batches CIR classification itself (see
     :attr:`SwarmConfig.batch_size`).  ``shards`` partitions each
     scenario's event loop spatially; any value yields byte-identical
     results.
     """
-    del batch_size  # standard-signature parameter; swarm batches itself
     metrics = metrics if metrics is not None else MetricsRegistry()
     counts = tuple(int(c) for c in counts)
     capacity = N_SLOTS * N_SHAPES

@@ -1,6 +1,5 @@
-"""Discrete-event network simulator with UWB signal superposition.
+"""Network simulator with UWB signal superposition.
 
-* :mod:`repro.netsim.engine` — a minimal, deterministic event queue.
 * :mod:`repro.netsim.node` — positioned nodes owning a DW1000 radio.
 * :mod:`repro.netsim.medium` — the wireless medium: per-link channel
   realisations, propagation delays, and delivery of (possibly
@@ -13,7 +12,6 @@
   byte-identical at any shard count.
 """
 
-from repro.netsim.engine import EventQueue, Event
 from repro.netsim.node import Node
 from repro.netsim.medium import Medium, FrameTransmission
 from repro.netsim.trace import TraceRecorder, TraceEvent
@@ -37,8 +35,6 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "EventQueue",
-    "Event",
     "Node",
     "Medium",
     "FrameTransmission",

@@ -1,11 +1,10 @@
-"""Event-driven multi-round ranging campaigns.
+"""Multi-round ranging campaigns.
 
 Runs whole measurement campaigns — many concurrent-ranging rounds on a
-schedule, as a deployed system would — on the deterministic event queue,
-with per-node energy accounting and a full protocol trace.  This is the
-layer the scalability example uses to measure *simulated wall-clock*
-behaviour rather than closed-form cost, and it exercises the
-:mod:`repro.netsim.engine` under a realistic workload.
+fixed schedule, as a deployed system would — with per-node energy
+accounting and a full protocol trace.  This is the layer the
+scalability example uses to measure *simulated wall-clock* behaviour
+rather than closed-form cost.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.faults import ATTACK_KINDS
-from repro.netsim.engine import EventQueue
 from repro.netsim.trace import TraceRecorder
 from repro.protocol.concurrent import (
     ConcurrentRangingSession,
@@ -171,12 +169,12 @@ class CampaignResult:
 
 
 class RangingCampaign:
-    """Schedule ``n_rounds`` concurrent ranging rounds on the event queue.
+    """Run ``n_rounds`` concurrent ranging rounds on a fixed schedule.
 
-    Each round fires at ``round_interval_s`` spacing; the session's
-    channel refreshes between rounds (independent fading), while node
-    clocks and positions persist — matching a static deployment logging
-    data over time.
+    Round ``i`` starts at ``i * round_interval_s``, in index order; the
+    session's channel refreshes between rounds (independent fading),
+    while node clocks and positions persist — matching a static
+    deployment logging data over time.
 
     With a :class:`ResiliencePolicy` the campaign degrades gracefully:
     rounds below quorum are retried with exponential backoff, responders
@@ -207,7 +205,6 @@ class RangingCampaign:
         """Execute the campaign; returns all per-round results."""
         if n_rounds < 1:
             raise ValueError(f"need at least one round, got {n_rounds}")
-        queue = EventQueue()
         result = CampaignResult()
         policy = self.resilience
         n_responders = len(self.session.responders)
@@ -221,15 +218,16 @@ class RangingCampaign:
             else None
         )
 
-        def fire_round(q: EventQueue, round_index: int) -> None:
+        for round_index in range(n_rounds):
+            start_time_s = round_index * self.round_interval_s
             if policy is None:
                 round_result = self.session.run_round(
-                    start_time_s=q.now_s, round_index=round_index
+                    start_time_s=start_time_s, round_index=round_index
                 )
             else:
                 active = n_responders - len(quarantined)
                 round_result = self.session.run_resilient_round(
-                    start_time_s=q.now_s,
+                    start_time_s=start_time_s,
                     round_index=round_index,
                     quorum=policy.quorum(active),
                     max_retries=policy.max_round_retries,
@@ -293,13 +291,7 @@ class RangingCampaign:
                     result.false_positive_rounds += 1
                     self._count("defense.false_positives")
             result.rounds.append(round_result)
-            result.round_times_s.append(q.now_s)
-
-        for i in range(n_rounds):
-            queue.schedule(
-                i * self.round_interval_s, fire_round, i, label=f"round-{i}"
-            )
-        queue.run()
+            result.round_times_s.append(start_time_s)
         result.quarantined_responders = tuple(sorted(quarantined))
         return result
 

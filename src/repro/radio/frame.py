@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from repro.constants import (
-    DELTA_RESP_S,
     PREAMBLE_SYMBOL_PRF16_S,
     PREAMBLE_SYMBOL_PRF64_S,
     RX_TX_TURNAROUND_S,
@@ -182,8 +181,3 @@ def min_response_delay_s(
     init = frame_duration(init_config, init_payload_bytes)
     resp = frame_duration(resp_config, 0)
     return init.after_rmarker_s + resp.shr_s + turnaround_s
-
-
-def default_response_delay_s() -> float:
-    """The paper's chosen response delay including the safety gap."""
-    return DELTA_RESP_S

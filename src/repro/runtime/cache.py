@@ -23,7 +23,7 @@ artifact kinds should get their own named cache via :func:`get_cache`.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Hashable, Tuple, TypeVar
+from typing import Callable, Dict, Hashable, List, Tuple, TypeVar
 
 from repro.constants import CIR_SAMPLING_PERIOD_S
 from repro.signal.pulses import Pulse, dw1000_pulse
@@ -36,6 +36,7 @@ __all__ = [
     "get_cache",
     "all_cache_snapshots",
     "clear_all_caches",
+    "on_clear",
     "template_bank",
     "pulse",
 ]
@@ -109,6 +110,9 @@ class ArtifactCache:
 _CACHES: Dict[str, ArtifactCache] = {}
 _CACHES_LOCK = threading.Lock()
 
+#: Called by :func:`clear_all_caches` after the named caches empty.
+_CLEAR_HOOKS: List[Callable[[], None]] = []
+
 
 def get_cache(name: str) -> ArtifactCache:
     """The process-local cache called ``name``, created on first use."""
@@ -125,11 +129,25 @@ def all_cache_snapshots() -> Dict[str, Tuple[int, int]]:
         return {name: cache.snapshot() for name, cache in _CACHES.items()}
 
 
+def on_clear(hook: Callable[[], None]) -> Callable[[], None]:
+    """Have :func:`clear_all_caches` call ``hook()``; returns ``hook``.
+
+    For state kept outside a named cache that must not outlive its
+    entries, such as the calling thread's engine scratch, which holds
+    the last plan it ran (:mod:`repro.core.batch`).
+    """
+    _CLEAR_HOOKS.append(hook)
+    return hook
+
+
 def clear_all_caches() -> None:
-    """Drop every named cache's entries (used by tests and benchmarks)."""
+    """Drop every named cache's entries, and what :func:`on_clear`
+    hooks free in the calling thread (used by tests and benchmarks)."""
     with _CACHES_LOCK:
         for cache in _CACHES.values():
             cache.clear()
+    for hook in _CLEAR_HOOKS:
+        hook()
 
 
 # -- shared artifact constructors -------------------------------------------

@@ -179,14 +179,16 @@ def choose_batch_size(
 
 @dataclass(frozen=True)
 class BatchTrial:
-    """A per-trial function paired with a batched equivalent.
+    """A trial written once, as a batched function over a group of trials.
 
-    The batched form ``batch(rngs, indices)`` must return one value per
-    trial, with entry ``k`` equal to what ``single(rngs[k], indices[k])``
-    would have returned — :func:`run_trials` *assumes* this equivalence,
-    and the ported experiments prove it in
-    ``tests/test_runtime_experiments.py`` by asserting ``batch_size=B``
-    runs equal ``batch_size=1`` runs.
+    ``batch(rngs, indices)`` runs a group of trials and returns one value
+    per trial, in order.  :func:`run_trials` calls it once per group of
+    ``batch_size`` trials, and as a batch of one for a lone trial (a
+    chunk's short last group, ``batch_size=1``, or the instance called as
+    a plain ``fn(rng, index)``).  Entry ``k`` must not depend on the
+    other members of its group; ``tests/test_runtime_experiments.py``
+    checks this for the ported experiments by asserting that
+    ``batch_size=B`` runs equal ``batch_size=1`` runs.
 
     Each trial still consumes its own seed child: the runner builds
     ``rngs[k] = np.random.default_rng(seed_child(indices[k]))`` before
@@ -194,10 +196,10 @@ class BatchTrial:
     the results — only how many trials share one engine pass (e.g. one
     2-D FFT across the batch via :func:`repro.core.batch.detect_batch`).
 
-    If the batched call raises (or returns the wrong number of values),
-    the runner falls back to running the group's trials one at a time
-    through ``single`` — counted under ``runtime.batch_fallbacks`` — so
-    a failing trial is still reported by its own index.
+    If a group's batched call raises (or returns the wrong number of
+    values), the runner re-runs each member as a batch of one — counted
+    under ``runtime.batch_fallbacks`` — so a failing trial is still
+    reported by its own index.
 
     Build instances from ``functools.partial`` over module-level
     functions to keep them picklable for the pool.
@@ -207,12 +209,13 @@ class BatchTrial:
     ``batch_size="auto"`` resolution via :func:`choose_batch_size`.
     """
 
-    single: TrialFn
     batch: BatchTrialFn
     workload: Optional[WorkloadShape] = None
 
     def __call__(self, rng: np.random.Generator, index: int) -> Any:
-        return self.single(rng, index)
+        """One trial, as a batch of one."""
+        [value] = self.batch([rng], [index])
+        return value
 
 
 @dataclass(frozen=True)
@@ -311,7 +314,8 @@ def _resolve_batch_size(
 
 
 def _run_one(fn: TrialFn, index: int, seed: np.random.SeedSequence) -> Any:
-    """Run one trial; an exception becomes a :class:`TrialError`."""
+    """Run one trial (a :class:`BatchTrial` as a batch of one); an
+    exception becomes a :class:`TrialError`."""
     try:
         return fn(np.random.default_rng(seed), index)
     except Exception as error:  # noqa: BLE001 — reported with its traceback
@@ -352,8 +356,9 @@ def _run_chunk(
     batches, batch_fallbacks)`` with ``values`` the chunk's
     ``(trial_index, value)`` pairs in item order.  With ``batch_size >
     1`` (only ever resolved for a :class:`BatchTrial`) each group of
-    ``batch_size`` consecutive items takes one batched call; a trailing
-    single trial gains nothing from a B=1 engine pass and runs alone.
+    ``batch_size`` consecutive items takes one batched call; a group of
+    one, and each member of a group whose batched call failed, runs
+    through :func:`_run_one`.
     The cache delta covers this chunk's lookups only, so a chunk re-run
     after a timeout is counted once.  The first failing trial raises
     :class:`TrialError`, which the pool ships back to the parent.
@@ -428,8 +433,9 @@ def run_trials(
     Parameters
     ----------
     fn:
-        Trial function ``fn(rng, index) -> value``.  Bind experiment
-        parameters with ``functools.partial`` over a module-level
+        Trial function ``fn(rng, index) -> value``, or a
+        :class:`BatchTrial` to run groups of trials per call.  Bind
+        experiment parameters with ``functools.partial`` over a module-level
         function so the pool can pickle it.
     n_trials:
         Number of independent trials.

@@ -75,3 +75,27 @@ def clean_cir(default_pulse):
 def ts():
     """CIR sampling period shorthand."""
     return CIR_SAMPLING_PERIOD_S
+
+
+@pytest.fixture
+def stub_experiment(monkeypatch):
+    """Register ``stub``, an experiment whose ``run()`` takes only
+    ``seed``, ``workers`` and ``metrics``; its ``calls`` list records the
+    keyword arguments of every run."""
+    import types
+
+    from repro.cli import EXPERIMENTS
+    from repro.experiments.common import ExperimentResult
+
+    module = types.ModuleType(
+        "stub", "A stub experiment without trials, batches or checkpoints."
+    )
+    module.calls = []
+
+    def run(*, seed=0, workers=1, metrics=None):
+        module.calls.append(dict(seed=seed, workers=workers))
+        return ExperimentResult("Stub", f"seed {seed} on {workers} worker(s)")
+
+    module.run = run
+    monkeypatch.setitem(EXPERIMENTS, "stub", module)
+    return module

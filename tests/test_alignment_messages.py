@@ -3,8 +3,9 @@
 import pytest
 
 from repro.constants import SPEED_OF_LIGHT
-from repro.core.alignment import align_responses_to_distance, distance_axis
+from repro.core.alignment import distance_axis
 from repro.core.detection import DetectedResponse
+from repro.core.ranging import concurrent_distances
 from repro.protocol.messages import (
     INIT_PAYLOAD_BYTES,
     RESP_PAYLOAD_BYTES,
@@ -38,18 +39,19 @@ class TestDistanceAxis:
 
 class TestAlignResponses:
     def test_matches_concurrent_distances(self):
-        from repro.core.ranging import concurrent_distances
-
+        """Read at each response's tap, the axis anchored on the
+        earliest response gives its :func:`concurrent_distances` value."""
         responses = [
-            DetectedResponse(index=0, delay_s=100e-9, amplitude=1.0),
-            DetectedResponse(index=0, delay_s=140e-9, amplitude=0.5),
+            DetectedResponse(index=140.0, delay_s=140e-9, amplitude=0.5),
+            DetectedResponse(index=100.0, delay_s=100e-9, amplitude=1.0),
         ]
-        assert align_responses_to_distance(responses, 3.0) == pytest.approx(
-            concurrent_distances(3.0, responses)
+        axis = distance_axis(256, 1e-9, first_peak_index=100.0, d_twr_m=3.0)
+        assert concurrent_distances(3.0, responses) == pytest.approx(
+            [axis[100], axis[140]]
         )
 
     def test_empty(self):
-        assert align_responses_to_distance([], 3.0) == []
+        assert concurrent_distances(3.0, []) == []
 
 
 class TestMessages:

@@ -123,8 +123,47 @@ class TestCli:
             if name != "common"
         }
         registered = {module.__name__.rsplit(".", 1)[-1]
-                      for module, _ in EXPERIMENTS.values()}
+                      for module in EXPERIMENTS.values()}
         assert modules == registered
+
+
+class TestFlagRouting:
+    """Each experiment gets the ``run`` flags its ``run()`` signature
+    names; the rest are skipped with one note each."""
+
+    def test_run_skips_flags_the_experiment_does_not_take(
+        self, stub_experiment, tmp_path, capsys
+    ):
+        argv = [
+            "run", "stub", "--trials", "3", "--batch-size", "4",
+            "--checkpoint", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        assert stub_experiment.calls == [dict(seed=0, workers=1)]
+        captured = capsys.readouterr()
+        assert "Stub" in captured.out
+        notes = captured.err.strip().splitlines()
+        assert notes == [
+            f"note: stub does not take {flag}; skipped"
+            for flag in ("--trials", "--batch-size", "--checkpoint")
+        ]
+
+    def test_taken_flags_reach_run(self, stub_experiment, capsys):
+        assert main(["run", "stub", "--seed", "9", "--workers", "2"]) == 0
+        assert stub_experiment.calls == [dict(seed=9, workers=2)]
+        assert capsys.readouterr().err == ""
+
+    def test_list_shows_each_experiments_flags(self, capsys):
+        assert main(["list"]) == 0
+        lines = {
+            line.split()[0]: line
+            for line in capsys.readouterr().out.splitlines()
+        }
+        assert lines["table1"].endswith(
+            "[--trials --seed --workers --batch-size --checkpoint]"
+        )
+        assert lines["fig3"].endswith("[--seed --workers --checkpoint]")
+        assert lines["fig7"].endswith("[--trials --seed --workers]")
 
 
 class TestCheckpointFlags:

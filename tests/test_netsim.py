@@ -1,134 +1,14 @@
-"""Unit tests for the discrete-event engine, nodes, medium, and traces."""
+"""Unit tests for nodes, the medium, and traces."""
 
 import pytest
 
 from repro.channel.stochastic import IndoorEnvironment
 from repro.channel.geometry import Point, Room
-from repro.netsim.engine import EventQueue
 from repro.netsim.medium import FrameTransmission, Medium
 from repro.netsim.node import Node
 from repro.netsim.trace import TraceEvent, TraceRecorder
 from repro.radio.energy import RadioState
 from repro.signal.pulses import dw1000_pulse
-
-
-class TestEventQueue:
-    def test_runs_in_time_order(self):
-        queue = EventQueue()
-        order = []
-        queue.schedule(2.0, lambda q, p: order.append(p), "b")
-        queue.schedule(1.0, lambda q, p: order.append(p), "a")
-        queue.schedule(3.0, lambda q, p: order.append(p), "c")
-        queue.run()
-        assert order == ["a", "b", "c"]
-
-    def test_ties_run_in_schedule_order(self):
-        queue = EventQueue()
-        order = []
-        for label in "abc":
-            queue.schedule(1.0, lambda q, p: order.append(p), label)
-        queue.run()
-        assert order == ["a", "b", "c"]
-
-    def test_now_advances(self):
-        queue = EventQueue()
-        times = []
-        queue.schedule(5.0, lambda q, p: times.append(q.now_s))
-        queue.run()
-        assert times == [5.0]
-
-    def test_events_can_schedule_events(self):
-        queue = EventQueue()
-        seen = []
-
-        def first(q, _):
-            q.schedule_after(1.0, lambda q2, __: seen.append(q2.now_s))
-
-        queue.schedule(1.0, first)
-        queue.run()
-        assert seen == [2.0]
-
-    def test_cannot_schedule_in_past(self):
-        queue = EventQueue()
-        queue.schedule(5.0, lambda q, p: q.schedule(1.0, lambda *_: None))
-        with pytest.raises(ValueError):
-            queue.run()
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            EventQueue().schedule_after(-1.0, lambda *_: None)
-
-    def test_run_until(self):
-        queue = EventQueue()
-        seen = []
-        for t in (1.0, 2.0, 3.0):
-            queue.schedule(t, lambda q, p: seen.append(p), t)
-        queue.run(until_s=2.5)
-        assert seen == [1.0, 2.0]
-        assert queue.pending == 1
-
-    def test_run_until_advances_clock_to_horizon(self):
-        """The clock ends at until_s even when events stop earlier."""
-        queue = EventQueue()
-        queue.schedule(1.0, lambda q, p: None)
-        queue.run(until_s=2.5)
-        assert queue.now_s == 2.5
-
-    def test_run_until_on_empty_queue_advances_clock(self):
-        queue = EventQueue()
-        assert queue.run(until_s=5.0) == 0
-        assert queue.now_s == 5.0
-        # Consecutive windows tile time without gaps.
-        assert queue.run(until_s=7.0) == 0
-        assert queue.now_s == 7.0
-
-    def test_run_until_never_moves_clock_backwards(self):
-        queue = EventQueue()
-        queue.schedule(4.0, lambda q, p: None)
-        queue.run()
-        assert queue.now_s == 4.0
-        queue.run(until_s=2.0)  # horizon already passed: clock untouched
-        assert queue.now_s == 4.0
-
-    def test_run_until_executes_event_at_horizon(self):
-        queue = EventQueue()
-        seen = []
-        queue.schedule(2.0, lambda q, p: seen.append(q.now_s))
-        queue.run(until_s=2.0)
-        assert seen == [2.0]
-        assert queue.now_s == 2.0
-
-    def test_schedule_after_relative_to_horizon(self):
-        """After run(until_s=T), schedule_after is relative to T."""
-        queue = EventQueue()
-        queue.run(until_s=10.0)
-        event = queue.schedule_after(1.0, lambda q, p: None)
-        assert event.time_s == 11.0
-
-    def test_run_without_until_leaves_clock_at_last_event(self):
-        queue = EventQueue()
-        queue.schedule(3.0, lambda q, p: None)
-        queue.run()
-        assert queue.now_s == 3.0
-
-    def test_event_budget_guards_loops(self):
-        queue = EventQueue()
-
-        def forever(q, _):
-            q.schedule_after(0.0, forever)
-
-        queue.schedule(0.0, forever)
-        with pytest.raises(RuntimeError):
-            queue.run(max_events=100)
-
-    def test_step_returns_none_when_empty(self):
-        assert EventQueue().step() is None
-
-    def test_processed_counter(self):
-        queue = EventQueue()
-        queue.schedule(1.0, lambda *_: None)
-        queue.run()
-        assert queue.processed == 1
 
 
 class TestNode:

@@ -22,6 +22,11 @@ class TestGenerateReport:
         report = generate_report(names=["sect5"], trials=25)
         assert "25 SS-TWR exchanges" in report
 
+    def test_trials_skipped_where_run_takes_none(self, stub_experiment):
+        report = generate_report(names=["stub"], trials=3)
+        assert "Stub" in report
+        assert stub_experiment.calls == [dict(seed=0, workers=1)]
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             generate_report(names=["nope"])

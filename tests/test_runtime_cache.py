@@ -113,3 +113,30 @@ class TestSharedArtifacts:
         assert pulse(0x93) is pulse(0x93)
         assert pulse(0x93) is not pulse(0xC8)
         assert get_cache("pulses").snapshot() == (hits + 2, misses + 2)
+
+
+class TestClearFreesEngineScratch:
+    def test_plan_dies_with_the_clear(self):
+        """The calling thread's engine scratch holds the last plan it
+        ran; a clear frees both, so the next pass builds its plan with
+        the old buffers gone."""
+        import gc
+        import weakref
+
+        import numpy as np
+
+        from repro.core.batch import detect_batch
+        from repro.core.plan import detector_plan
+        from repro.signal.templates import TemplateBank
+
+        bank = list(TemplateBank.paper_bank(3))
+        detect_batch(
+            np.ones((4, 257), dtype=complex), bank, CIR_SAMPLING_PERIOD_S
+        )
+        plan = weakref.ref(
+            detector_plan(bank, 257, 8, CIR_SAMPLING_PERIOD_S)
+        )
+        assert plan() is not None
+        clear_all_caches()
+        gc.collect()
+        assert plan() is None

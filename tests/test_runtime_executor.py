@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.runtime import (
+    BatchTrial,
     MetricsRegistry,
     TrialError,
     clear_all_caches,
@@ -37,6 +38,22 @@ def fail_on_three(rng, index):
 def return_none_on_even(rng, index):
     """None is a legitimate trial value (fig7-style rejection sampling)."""
     return None if index % 2 == 0 else index
+
+
+def refuse_groups(rngs, indices, *, fail_alone=()):
+    """A batched trial whose call fails on any group of more than one."""
+    if len(indices) > 1:
+        raise RuntimeError("batched pass failed")
+    if indices[0] in fail_alone:
+        raise ValueError(f"trial {indices[0]} fails alone too")
+    return [float(rngs[0].normal()) + indices[0]]
+
+
+def short_groups(rngs, indices):
+    """A batched trial that drops the last value of any group of more
+    than one."""
+    values = [float(rng.normal()) + i for rng, i in zip(rngs, indices)]
+    return values[:-1] if len(values) > 1 else values
 
 
 class TestSeeding:
@@ -146,6 +163,32 @@ class TestParallelExecutor:
         assert metrics.counter("runtime.chunks").value == 8
         assert metrics.gauge("runtime.workers").value == 2
         assert metrics.histogram("runtime.chunk_seconds").count == 8
+
+
+class TestBatchFallback:
+    """A group whose batched call fails re-runs member by member, each
+    as a batch of one."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("batch", [refuse_groups, short_groups])
+    def test_members_rerun_alone_match_unbatched(self, batch, workers):
+        metrics = MetricsRegistry()
+        rerun = run_trials(
+            BatchTrial(batch=batch), 10, seed=3, workers=workers,
+            batch_size=4, metrics=metrics,
+        )
+        alone = run_trials(BatchTrial(batch=batch), 10, seed=3, batch_size=1)
+        assert rerun.values == alone.values
+        # Groups of 4, 4 and 2: one fallback each, no batched call kept.
+        assert metrics.counter("runtime.batch_fallbacks").value == 3
+        assert metrics.counter("runtime.batches").value == 0
+
+    def test_member_failing_alone_raises_its_own_index(self):
+        fn = BatchTrial(batch=partial(refuse_groups, fail_alone=(5,)))
+        with pytest.raises(TrialError) as excinfo:
+            run_trials(fn, 10, seed=3, batch_size=4)
+        assert excinfo.value.failure.index == 5
+        assert "fails alone too" in excinfo.value.failure.error
 
 
 class TestRunTrials:

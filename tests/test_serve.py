@@ -125,10 +125,7 @@ class TestStreamingEqualsOffline:
         assert streaming == serial
 
         report = run_trials(
-            BatchTrial(
-                single=partial(_pool_detect_single, pool=POOL),
-                batch=partial(_pool_detect_batch, pool=POOL),
-            ),
+            BatchTrial(batch=partial(_pool_detect_batch, pool=POOL)),
             len(POOL),
             seed=0,
             batch_size=4,
