@@ -7,6 +7,11 @@ Examples::
     python -m repro run fig7 sect5
     python -m repro run all --trials 100
     python -m repro run table1 --trials 1000 --workers 4 --seed 7
+    python -m repro loadgen --sessions 200 --rate 800 --port 9100
+
+This is the project's only command line: every experiment runs through
+``run`` and the streaming-service soak through ``loadgen`` (its flags
+are :func:`repro.serve.loadgen.add_arguments`).
 
 Execution flags for ``run``.  Each maps to the keyword-only ``run()``
 parameter of the same name, and an experiment gets only the flags its
@@ -248,27 +253,18 @@ def build_parser() -> argparse.ArgumentParser:
         "DIR (results are identical to an uninterrupted run)",
     )
 
-    from repro.serve.loadgen import add_arguments as add_serve_arguments
-
-    serve_parser = subparsers.add_parser(
-        "serve",
-        help="run the streaming ranging service under a replay stream "
-        "with live /metrics + /healthz",
-        description="Stand up the repro.serve micro-batching ranging "
-        "service, expose /metrics and /healthz, and drive it with a "
-        "replayed CIR stream (a self-contained soak; see also "
-        "'loadgen').",
-    )
-    add_serve_arguments(serve_parser)
-    # A soak defaults to a visible metrics endpoint and a longer run.
-    serve_parser.set_defaults(port=9100, duration=60.0)
+    from repro.serve.loadgen import add_arguments as add_loadgen_arguments
 
     loadgen_parser = subparsers.add_parser(
         "loadgen",
-        help="replay CIR ranging streams against an in-process service "
+        help="replay CIR ranging streams against the streaming service "
         "and report latency/throughput/accounting",
+        description="Stand up the repro.serve micro-batching ranging "
+        "service, drive it with a replayed CIR stream, and print the "
+        "JSON report; --port also serves /metrics and /healthz for the "
+        "length of the run.",
     )
-    add_serve_arguments(loadgen_parser)
+    add_loadgen_arguments(loadgen_parser)
     return parser
 
 
@@ -292,7 +288,7 @@ def main(argv: List[str] | None = None) -> int:
             print(report)
         return 0
 
-    if args.command in ("serve", "loadgen"):
+    if args.command == "loadgen":
         from repro.serve.loadgen import run_from_args
 
         return run_from_args(args)

@@ -20,17 +20,14 @@ without recomputing finished trials.
 
 Run from the shell::
 
-    python -m repro.experiments.chaos_sweep --quick
-    python -m repro.experiments.chaos_sweep --trials 40 --workers 4 \
-        --checkpoint /tmp/chaos-ckpt --resume
+    python -m repro run chaos --trials 40 --workers 4 \
+        --checkpoint DIR [--resume]
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from functools import partial
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -52,18 +49,16 @@ from repro.netsim.medium import Medium
 from repro.netsim.node import Node
 from repro.protocol.campaign import RangingCampaign, ResiliencePolicy
 from repro.protocol.concurrent import ConcurrentRangingSession
-from repro.runtime import (
-    MetricsRegistry,
-    checkpoint_usage_error,
-    run_trials,
-    template_bank,
-)
+from repro.runtime import MetricsRegistry, run_trials, template_bank
 
 #: The Fig. 4 layout the sweep stresses.
 DISTANCES_M = (3.0, 6.0, 10.0)
 
-#: Default intensity grid for the degradation curve.
+#: Intensity grid of the degradation curve.
 INTENSITIES = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+#: Campaign rounds per trial.
+ROUNDS = 4
 
 
 def fault_plan(intensity: float, seed) -> FaultPlan:
@@ -179,10 +174,9 @@ def run(
     workers: int = 1,
     checkpoint=None,
     metrics: Optional[MetricsRegistry] = None,
-    intensities: Sequence[float] = INTENSITIES,
-    rounds: int = 4,
 ) -> ExperimentResult:
-    """The degradation curve: ``trials`` campaigns per intensity cell.
+    """The degradation curve: ``trials`` campaigns of :data:`ROUNDS`
+    rounds per :data:`INTENSITIES` cell.
 
     Identification should be near-perfect at intensity 0 and fall
     monotonically (modulo Monte-Carlo noise) as faults intensify, while
@@ -209,17 +203,17 @@ def run(
             "faults/camp",
         ],
         title=f"degradation vs fault intensity ({trials} campaigns x "
-        f"{rounds} rounds per cell)",
+        f"{ROUNDS} rounds per cell)",
     )
 
     id_rates = []
-    for intensity in intensities:
+    for intensity in INTENSITIES:
         report = run_trials(
             partial(
                 _trial,
                 intensity=float(intensity),
                 fault_seed=seed,
-                n_rounds=rounds,
+                n_rounds=ROUNDS,
             ),
             trials,
             # Distinct seed stream per cell, all derived from the master.
@@ -276,59 +270,3 @@ def run(
     )
     return result
 
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Chaos sweep: concurrent-ranging degradation curves "
-        "under composed fault injection."
-    )
-    parser.add_argument("--trials", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=23)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument(
-        "--rounds", type=int, default=4, help="campaign rounds per trial"
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="tiny smoke configuration (3 intensities, few trials)",
-    )
-    parser.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="DIR",
-        help="persist per-trial checkpoints to DIR as the sweep runs",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="with --checkpoint: continue a previous (possibly "
-        "interrupted) sweep from the checkpoints in DIR",
-    )
-    args = parser.parse_args(argv)
-    error = checkpoint_usage_error(args.checkpoint, args.resume)
-    if error:
-        parser.error(error)
-
-    intensities = (0.0, 0.5, 1.0) if args.quick else INTENSITIES
-    trials = min(args.trials, 4) if args.quick else args.trials
-    rounds = min(args.rounds, 3) if args.quick else args.rounds
-
-    metrics = MetricsRegistry()
-    result = run(
-        trials=trials,
-        seed=args.seed,
-        workers=args.workers,
-        metrics=metrics,
-        intensities=intensities,
-        rounds=rounds,
-        checkpoint=args.checkpoint,
-    )
-    result.print()
-    print()
-    print(metrics.render(title="runtime metrics — chaos sweep"))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

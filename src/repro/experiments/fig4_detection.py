@@ -63,7 +63,7 @@ def pipeline_stages(seed: int = 11) -> PipelineStages:
         seed=seed,
         # Plain Sect. IV operation: all responders share the default
         # pulse shape (ranging stays anonymous, as before Sect. V).
-        allow_duplicate_assignments=True,
+        scheme_ids=[0] * len(DISTANCES_M),
     )
     round_result = session.run_round()
     capture = round_result.capture

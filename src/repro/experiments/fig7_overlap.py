@@ -101,7 +101,7 @@ def _overlap_trial(rng: np.random.Generator, index: int):
         rng=rng,
         # Both responders deliberately share slot 0 and the default
         # shape, as in the paper's Sect. VI setup.
-        allow_duplicate_assignments=True,
+        scheme_ids=[0, 0],
     )
     outcome = session.run_round()
     capture = outcome.capture

@@ -28,14 +28,15 @@ byte-identical, and ``checkpoint`` resumes interrupted grids.
 
 Run from the shell::
 
-    python -m repro.experiments.security_study --quick --check
-    python -m repro.experiments.security_study --trials 20 --workers 4
+    python -m repro run security --trials 20 --workers 4
+
+:func:`check` is the acceptance gate on detection and false positives;
+``tests/test_golden_metrics.py`` applies it to the pinned one-intensity
+grid.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from functools import partial
 from typing import Optional, Sequence
 
@@ -64,12 +65,7 @@ from repro.protocol.defense import (
     DefensePlan,
     TimeHoppingConfig,
 )
-from repro.runtime import (
-    MetricsRegistry,
-    checkpoint_usage_error,
-    run_trials,
-    template_bank,
-)
+from repro.runtime import MetricsRegistry, run_trials, template_bank
 
 #: The Fig. 4 layout the study attacks.
 DISTANCES_M = (3.0, 6.0, 10.0)
@@ -249,14 +245,12 @@ def _cell_label(attacker: Optional[str], intensity: float,
     return f"security-{name}-{intensity:.2f}-{arm}"
 
 
-def _grid(
-    attackers: Sequence[str], intensities: Sequence[float]
-) -> list:
+def _grid(intensities: Sequence[float]) -> list:
     """(attacker, intensity, defended) cells: clean + the attack grid."""
     cells = []
     for defended in (False, True):
         cells.append((None, 0.0, defended))
-        for attacker in attackers:
+        for attacker in ATTACKERS:
             for intensity in intensities:
                 cells.append((attacker, float(intensity), defended))
     return cells
@@ -269,7 +263,6 @@ def run(
     workers: int = 1,
     checkpoint=None,
     metrics: Optional[MetricsRegistry] = None,
-    attackers: Sequence[str] = ATTACKERS,
     intensities: Sequence[float] = INTENSITIES,
     rounds: int = 10,
 ) -> ExperimentResult:
@@ -305,7 +298,7 @@ def run(
 
     full = max(float(i) for i in intensities)
     stats: dict = {}
-    for attacker, intensity, defended in _grid(attackers, intensities):
+    for attacker, intensity, defended in _grid(intensities):
         report = run_trials(
             partial(
                 _trial,
@@ -369,7 +362,7 @@ def run(
     result.add_table(table)
 
     detection_rates = []
-    for attacker in attackers:
+    for attacker in ATTACKERS:
         success_off, _, _ = stats[(attacker, full, False)]
         success_on, det_rate, _ = stats[(attacker, full, True)]
         detection_rates.append(det_rate)
@@ -413,73 +406,3 @@ def check(result: ExperimentResult) -> list:
         failures.append(f"clean false-positive rate {fp_rate:.3f} > 0.05")
     return failures
 
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Security study: distance-manipulation attacks vs. "
-        "time-hopping and CIR-anomaly defenses."
-    )
-    parser.add_argument("--trials", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=41)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument(
-        "--rounds", type=int, default=10, help="campaign rounds per trial"
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="smoke configuration (full intensity only, few trials)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero unless detection >= 0.9 at full intensity "
-        "and clean false positives <= 0.05",
-    )
-    parser.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="DIR",
-        help="persist per-trial checkpoints to DIR as the grid runs",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="with --checkpoint: continue a previous (possibly "
-        "interrupted) run from the checkpoints in DIR",
-    )
-    args = parser.parse_args(argv)
-    error = checkpoint_usage_error(args.checkpoint, args.resume)
-    if error:
-        parser.error(error)
-
-    intensities = (1.0,) if args.quick else INTENSITIES
-    trials = min(args.trials, 4) if args.quick else args.trials
-    rounds = min(args.rounds, 6) if args.quick else args.rounds
-
-    metrics = MetricsRegistry()
-    result = run(
-        trials=trials,
-        seed=args.seed,
-        workers=args.workers,
-        metrics=metrics,
-        intensities=intensities,
-        rounds=rounds,
-        checkpoint=args.checkpoint,
-    )
-    result.print()
-    print()
-    print(metrics.render(title="runtime metrics — security study"))
-    if args.check:
-        failures = check(result)
-        if failures:
-            for failure in failures:
-                print(f"CHECK FAILED: {failure}", file=sys.stderr)
-            return 1
-        print("CHECK PASSED: detection >= 0.9 at full intensity, "
-              "clean false positives <= 0.05")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -26,23 +26,21 @@ The sweep reports, per responder count:
 
 Each count is one :mod:`repro.runtime` trial seeded ``(seed, count)``
 — the serial sweep's exact derivation — so results are byte-identical
-at any worker count, and ``--shards`` changes the partitioning of the
-event loop without changing a single byte of the result (the swarm
-test suite pins this).
+at any worker count; ``SwarmScenario(shards=K)`` partitions the event
+loop without changing a single byte of the result (the swarm test
+suite pins this).
 
 Run from the shell::
 
-    python -m repro.experiments.swarm_scale --quick --check
-    python -m repro.experiments.swarm_scale --epochs 10 --workers 4
+    python -m repro run swarm --trials 10 --workers 4 \
+        --checkpoint DIR [--resume]
 
-A checkpointed, resumable sweep runs through the experiments CLI:
-``python -m repro run swarm --checkpoint DIR [--resume]``.
+:func:`check` is the acceptance gate of the 12/100/500-responder sweep
+that ``tests/test_golden_metrics.py`` pins.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from functools import partial
 from typing import Optional, Sequence, Tuple
 
@@ -56,10 +54,6 @@ from repro.runtime import MetricsRegistry, run_trials
 #: and one point past scheme capacity (2000 > 1536) where aliasing
 #: must appear.
 RESPONDER_COUNTS = (12, 100, 500, 1000, 1500, 2000)
-
-#: The smoke sweep used by ``--quick``, the golden-metrics suite, and
-#: the CI swarm job.
-QUICK_COUNTS = (12, 100, 500)
 
 #: Paper Sect. VIII scheme: 16 RPM slots x 96 pulse shapes.
 N_SLOTS = 16
@@ -87,7 +81,6 @@ def _swarm_cell(
     counts: Sequence[int],
     epochs: int,
     seed: int,
-    shards: int,
 ) -> Tuple:
     """Run one responder count's swarm and return its scalar summary.
 
@@ -100,9 +93,7 @@ def _swarm_cell(
     """
     del rng  # scenario seeds itself from (seed, count); see docstring
     count = int(counts[index])
-    scenario = SwarmScenario(
-        swarm_config(count), seed=(seed, count), shards=shards
-    )
+    scenario = SwarmScenario(swarm_config(count), seed=(seed, count))
     result = scenario.run(epochs)
     return (
         count,
@@ -126,15 +117,12 @@ def run(
     checkpoint=None,
     metrics: Optional[MetricsRegistry] = None,
     counts: Sequence[int] = RESPONDER_COUNTS,
-    shards: int = 1,
 ) -> ExperimentResult:
     """Sweep responder counts and report the Sect. VIII curve.
 
     ``trials`` is the number of swarm epochs simulated per responder
     count; the swarm batches CIR classification itself (see
-    :attr:`SwarmConfig.batch_size`).  ``shards`` partitions each
-    scenario's event loop spatially; any value yields byte-identical
-    results.
+    :attr:`SwarmConfig.batch_size`).
     """
     metrics = metrics if metrics is not None else MetricsRegistry()
     counts = tuple(int(c) for c in counts)
@@ -166,7 +154,6 @@ def run(
             counts=counts,
             epochs=trials,
             seed=seed,
-            shards=shards,
         ),
         len(counts),
         seed=seed,
@@ -246,13 +233,13 @@ def run(
         "rounds/s is wall-clock throughput of the sharded swarm loop "
         "and lives in the table/metrics only; every pinned metric above "
         "is byte-deterministic in (seed, counts, epochs) and invariant "
-        "in --workers and --shards"
+        "in --workers and in the scenario's shard count"
     )
     return result
 
 
 def check(result: ExperimentResult) -> list:
-    """Acceptance gate for the smoke sweep (``--quick --check``).
+    """Acceptance gate for the 12/100/500-responder sweep.
 
     Returns the violated criteria (empty when the run passes): the
     scheme must actually cover the Sect. VIII population, the testbed-
@@ -278,67 +265,3 @@ def check(result: ExperimentResult) -> list:
                 )
     return failures
 
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Swarm scale: Sect. VIII identification measured "
-        "from 12 to 2000 responders."
-    )
-    parser.add_argument(
-        "--trials", "--epochs", dest="trials", type=int, default=8,
-        help="swarm epochs per responder count",
-    )
-    parser.add_argument("--seed", type=int, default=71)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument(
-        "--shards", type=int, default=1,
-        help="spatial shards for the swarm event loop (any value is "
-        "byte-identical)",
-    )
-    parser.add_argument(
-        "--counts", type=int, nargs="+", default=None,
-        help="override the responder-count sweep",
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help=f"smoke sweep {QUICK_COUNTS} with few epochs",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="exit non-zero unless the acceptance gate passes",
-    )
-    args = parser.parse_args(argv)
-
-    counts = tuple(args.counts) if args.counts else RESPONDER_COUNTS
-    trials = args.trials
-    if args.quick:
-        counts = QUICK_COUNTS if not args.counts else counts
-        trials = min(trials, 3)
-
-    metrics = MetricsRegistry()
-    result = run(
-        trials=trials,
-        seed=args.seed,
-        workers=args.workers,
-        metrics=metrics,
-        counts=counts,
-        shards=args.shards,
-    )
-    result.print()
-    print()
-    print(metrics.render(title="runtime metrics — swarm scale"))
-    if args.check:
-        failures = check(result)
-        if failures:
-            for failure in failures:
-                print(f"CHECK FAILED: {failure}", file=sys.stderr)
-            return 1
-        print(
-            "CHECK PASSED: capacity >= 1500, id rate >= 0.5 at 12 / "
-            ">= 0.2 at 500, median |err| <= 0.5 m at every count"
-        )
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -2,8 +2,8 @@
 
 * :mod:`repro.netsim.node` — positioned nodes owning a DW1000 radio.
 * :mod:`repro.netsim.medium` — the wireless medium: per-link channel
-  realisations, propagation delays, and delivery of (possibly
-  overlapping) frames to receivers.
+  realisations (reciprocal within a coherence interval) from a
+  stochastic environment or a geometric room.
 * :mod:`repro.netsim.trace` — structured event traces for debugging and
   for the energy/airtime accounting of the scalability benchmarks.
 * :mod:`repro.netsim.swarm` — the city-scale swarm layer: N mobile
@@ -13,7 +13,7 @@
 """
 
 from repro.netsim.node import Node
-from repro.netsim.medium import Medium, FrameTransmission
+from repro.netsim.medium import Medium
 from repro.netsim.trace import TraceRecorder, TraceEvent
 
 #: Swarm names re-exported lazily (PEP 562): the swarm layer sits on
@@ -37,7 +37,6 @@ def __getattr__(name):
 __all__ = [
     "Node",
     "Medium",
-    "FrameTransmission",
     "MobilityTrace",
     "SwarmConfig",
     "SwarmEvent",

@@ -1,4 +1,4 @@
-"""The wireless medium: per-link channels and frame delivery.
+"""The wireless medium: per-link channels.
 
 The medium owns the channel model.  For every (transmitter, receiver)
 pair it draws a :class:`~repro.channel.cir.ChannelRealization` — either
@@ -6,12 +6,13 @@ from a stochastic indoor environment (Monte-Carlo experiments) or from a
 geometric room model (deterministic figures).  Links are reciprocal
 within one coherence interval: the INIT and RESP legs of a ranging
 exchange see the same taps, as they do physically within a channel
-coherence time.
+coherence time.  A ranging round builds each reply's
+:class:`~repro.radio.dw1000.SignalArrival` from its link's channel, and
+the receiving radio superposes them in one CIR.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
@@ -20,23 +21,6 @@ from repro.channel.cir import ChannelRealization
 from repro.channel.geometry import Room, image_source_taps
 from repro.channel.stochastic import IndoorEnvironment
 from repro.netsim.node import Node
-from repro.radio.dw1000 import SignalArrival
-from repro.signal.pulses import Pulse
-
-
-@dataclass(frozen=True)
-class FrameTransmission:
-    """A frame on the air: who sent it, when, with which pulse shape.
-
-    ``payload`` carries protocol data (e.g. embedded timestamps); the
-    medium never interprets it.
-    """
-
-    tx_node_id: int
-    tx_time_s: float
-    pulse: Pulse
-    payload: object = None
-    airtime_s: float = 0.0
 
 
 class Medium:
@@ -129,33 +113,3 @@ class Medium:
         channel stays coherent.
         """
         self._links.clear()
-
-    # -- delivery ----------------------------------------------------------
-
-    def arrival_at(
-        self, transmission: FrameTransmission, rx_node_id: int
-    ) -> SignalArrival:
-        """The signal a receiver sees from one transmission."""
-        if rx_node_id == transmission.tx_node_id:
-            raise ValueError("a node does not receive its own transmission")
-        channel = self.channel_between(transmission.tx_node_id, rx_node_id)
-        return SignalArrival(
-            channel=channel,
-            pulse=transmission.pulse,
-            tx_time_s=transmission.tx_time_s,
-            source_id=transmission.tx_node_id,
-        )
-
-    def arrivals_at(
-        self, transmissions: Iterable[FrameTransmission], rx_node_id: int
-    ) -> List[SignalArrival]:
-        """All arrivals of a set of (overlapping) transmissions at one
-        receiver — the superposition a concurrent-ranging initiator
-        captures in a single CIR."""
-        return [self.arrival_at(tx, rx_node_id) for tx in transmissions]
-
-    def first_arrival_time(
-        self, transmission: FrameTransmission, rx_node_id: int
-    ) -> float:
-        """Global arrival time of the first path of a transmission."""
-        return self.arrival_at(transmission, rx_node_id).first_path_arrival_s

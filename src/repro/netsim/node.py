@@ -57,6 +57,3 @@ class Node:
     def account_rx(self, duration_s: float) -> None:
         """Charge a reception (or receive listening) to the meter."""
         self.radio.energy.account(RadioState.RX, duration_s)
-
-    def account_idle(self, duration_s: float) -> None:
-        self.radio.energy.account(RadioState.IDLE, duration_s)

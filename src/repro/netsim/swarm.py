@@ -62,7 +62,6 @@ import numpy as np
 
 from repro.channel.geometry import Point
 from repro.channel.stochastic import IndoorEnvironment
-from repro.constants import RPM_MAX_OFFSET_S, SPEED_OF_LIGHT
 from repro.core.batch_id import classify_batch
 from repro.core.detection import SearchAndSubtractConfig
 from repro.core.rpm import SlotPlan
@@ -165,13 +164,6 @@ class SwarmConfig:
     @property
     def capacity(self) -> int:
         return self.n_slots * self.n_shapes
-
-    @property
-    def slot_ambiguity_range_m(self) -> float:
-        """Largest distance spread within one polled window that still
-        decodes slots unambiguously (half a slot of round-trip delay)."""
-        slot_s = RPM_MAX_OFFSET_S / self.n_slots
-        return slot_s / 4.0 * SPEED_OF_LIGHT
 
 
 class MobilityTrace:

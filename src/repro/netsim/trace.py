@@ -84,14 +84,6 @@ class TraceRecorder:
         """Total on-air time (sum of TX durations)."""
         return sum(e.duration_s for e in self._events if e.kind == "tx")
 
-    def radio_on_time_s(self, node_id: int | None = None) -> float:
-        """Total time radios were active (TX + RX + listening)."""
-        return sum(
-            e.duration_s
-            for e in self._events
-            if node_id is None or e.node_id == node_id
-        )
-
     def span_s(self) -> float:
         """Wall-clock span from the first event start to the last end."""
         if not self._events:

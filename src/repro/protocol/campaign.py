@@ -160,13 +160,6 @@ class CampaignResult:
                 )
         return merged
 
-    def total_energy_j(self, session: ConcurrentRangingSession) -> float:
-        """Network-wide radio energy accumulated on the nodes."""
-        meters = [session.initiator.radio.energy] + [
-            node.radio.energy for node in session.responders
-        ]
-        return sum(meter.energy_j for meter in meters)
-
 
 class RangingCampaign:
     """Run ``n_rounds`` concurrent ranging rounds on a fixed schedule.

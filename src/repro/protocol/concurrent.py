@@ -217,8 +217,9 @@ class ConcurrentRangingSession:
     initiator:
         The initiating node.
     responders:
-        Responding nodes; responder IDs for the slot/shape mapping are
-        their positions in this list (0-based).
+        Responding nodes.  Rounds, ground truth and outcomes name each
+        responder by its position in this list (0-based); its slot,
+        shape and secret hop key on its scheme code (``scheme_ids``).
     scheme:
         Slot/shape assignment.  Use ``SlotPlan(n_slots=1, ...)`` plus a
         single-template bank for plain Sect. IV operation.
@@ -231,11 +232,6 @@ class ConcurrentRangingSession:
         "next-generation transceiver" assumption the paper mentions when
         declaring the artefact out of scope.  Default ``False``
         (faithful DW1000 behaviour).
-    allow_duplicate_assignments:
-        Permit more responders than the scheme's capacity by wrapping
-        IDs (``assignment(id % capacity)``).  Used for anonymity
-        stress tests such as the paper's Sect. VI overlap experiment,
-        where two responders deliberately share slot and shape.
     faults:
         Optional :class:`~repro.faults.FaultPlan`.  When given (and
         non-empty), the plan is activated and its injectors perturb the
@@ -244,15 +240,15 @@ class ConcurrentRangingSession:
         CIR transforms).  An empty or absent plan leaves every round
         bit-identical to a session without fault machinery.
     scheme_ids:
-        Optional per-responder *global* scheme identities.  By default a
-        responder's scheme ID is its position in ``responders``; a swarm
-        round instead polls a window of a much larger population, where
-        responder ``i`` carries a persistent global ID.  When given
-        (one entry per responder, any non-negative integers), slot and
-        shape derive from ``scheme_ids[i] % capacity`` and decoding
-        translates recovered scheme IDs back to local responders.
-        ``None`` (default) keeps the historical identity mapping
-        byte-for-byte.
+        Per-responder scheme identities, one non-negative integer per
+        responder.  Responder ``i`` transmits with the slot, shape and
+        secret hop of code ``scheme_ids[i] % capacity``, and decoding
+        translates recovered codes back to responders.  ``None``
+        (default) is ``range(len(responders))``, and then the responders
+        must fit the scheme's capacity.  A swarm round passes the
+        persistent global IDs of the window it polls; responders that
+        deliberately share a slot and shape (the paper's Sect. VI
+        overlap duel) pass equal IDs.
     defense:
         Optional :class:`~repro.protocol.defense.DefensePlan`.  With
         time hopping enabled, every responder adds its secret
@@ -276,7 +272,6 @@ class ConcurrentRangingSession:
         reply_delay_s: float = DELTA_RESP_S,
         cfo_error_ppm: float = DEFAULT_CFO_ERROR_PPM,
         compensate_tx_quantization: bool = False,
-        allow_duplicate_assignments: bool = False,
         rng: np.random.Generator | None = None,
         faults: FaultPlan | None = None,
         defense: DefensePlan | None = None,
@@ -284,29 +279,22 @@ class ConcurrentRangingSession:
     ) -> None:
         if len(responders) == 0:
             raise ValueError("need at least one responder")
-        if scheme_ids is not None:
-            if len(scheme_ids) != len(responders):
+        if scheme_ids is None:
+            if len(responders) > scheme.capacity:
                 raise ValueError(
-                    f"scheme_ids must have one entry per responder "
-                    f"({len(responders)}), got {len(scheme_ids)}"
+                    f"{len(responders)} responders exceed scheme capacity "
+                    f"{scheme.capacity}"
                 )
-            if any(int(s) < 0 for s in scheme_ids):
-                raise ValueError("scheme IDs must be non-negative")
-            self._scheme_ids: tuple | None = tuple(
-                int(s) for s in scheme_ids
-            )
-        else:
-            self._scheme_ids = None
-        if (
-            len(responders) > scheme.capacity
-            and not allow_duplicate_assignments
-            and scheme_ids is None
-        ):
+            scheme_ids = range(len(responders))
+        elif len(scheme_ids) != len(responders):
             raise ValueError(
-                f"{len(responders)} responders exceed scheme capacity "
-                f"{scheme.capacity}"
+                f"scheme_ids must have one entry per responder "
+                f"({len(responders)}), got {len(scheme_ids)}"
             )
-        self._wrap_assignments = bool(allow_duplicate_assignments)
+        elif any(int(s) < 0 for s in scheme_ids):
+            raise ValueError("scheme IDs must be non-negative")
+        #: Each responder's scheme code, by its position in ``responders``.
+        self._codes = tuple(int(s) % scheme.capacity for s in scheme_ids)
         self.medium = medium
         self.initiator = initiator
         self.responders = list(responders)
@@ -404,14 +392,8 @@ class ConcurrentRangingSession:
         )
 
     def _assignment(self, responder_id: int):
-        """Slot/shape assignment, wrapping IDs when duplicates are allowed."""
-        if self._scheme_ids is not None:
-            responder_id = (
-                self._scheme_ids[responder_id] % self.scheme.capacity
-            )
-        elif self._wrap_assignments:
-            responder_id = responder_id % self.scheme.capacity
-        return self.scheme.assignment(responder_id)
+        """Slot/shape assignment of the responder at this position."""
+        return self.scheme.assignment(self._codes[responder_id])
 
     # -- the round ----------------------------------------------------------
 
@@ -545,7 +527,9 @@ class ConcurrentRangingSession:
             assignment = self._assignment(responder_id)
             node.radio.set_pulse_register(assignment.register)
             hop_s = (
-                self.defense.hop_offset_s(round_index, responder_id)
+                self.defense.hop_offset_s(
+                    round_index, self._codes[responder_id]
+                )
                 if self.defense is not None
                 else 0.0
             )
@@ -724,7 +708,8 @@ class ConcurrentRangingSession:
                 capture=pending.capture,
                 t_tx_init_local_s=pending.t_tx_init_local_s,
                 reply_delay_s=self.reply_delay_s,
-                assignment_fn=self._assignment,
+                # The screen sees decoded codes, not responder positions.
+                assignment_fn=self.scheme.assignment,
                 round_index=pending.round_index,
             )
 
@@ -866,51 +851,34 @@ class ConcurrentRangingSession:
         truth: Dict[int, float],
         fault_notes: Dict[int, tuple] | None = None,
     ) -> List[ResponderOutcome]:
-        """Pair decoded (id, distance) tuples with ground truth.
+        """Pair decoded (code, distance) tuples with ground truth.
 
-        A decoded ID claims its ground-truth responder directly; decoded
-        responses with unknown/duplicate IDs are matched to the remaining
-        responder with the closest true distance (evaluation-only logic —
-        a deployment would simply report the decoded IDs).
-        ``fault_notes`` maps responder IDs to the fault kinds injected
-        against them this round; matched outcomes carry them verbatim.
+        Decoded IDs are scheme codes (0..capacity-1); each claims the
+        first unclaimed responder that carries it.  Decoded responses
+        with a code no unclaimed responder carries are matched to the
+        remaining responder with the closest true distance
+        (evaluation-only logic — a deployment would simply report the
+        decoded IDs).  ``fault_notes`` maps responder positions to the
+        fault kinds injected against them this round; matched outcomes
+        carry them verbatim.
         """
         fault_notes = fault_notes or {}
         decoded: Dict[int, float] = {}
         leftovers: List[float] = []
-        if self._scheme_ids is not None:
-            # Decoded IDs are *scheme* IDs (0..capacity-1); translate
-            # each back to the first unclaimed polled responder whose
-            # global identity reduces to it.  A decoded ID no polled
-            # responder carries is a mis-decode and matches by distance
-            # below, exactly like an unknown ID on the default path.
-            capacity = self.scheme.capacity
-            candidates: Dict[int, List[int]] = {}
-            for local in truth:
-                candidates.setdefault(
-                    self._scheme_ids[local] % capacity, []
-                ).append(local)
-            for rid, distance in zip(
-                ranging.responder_ids, ranging.distances_m
-            ):
-                local_id = None
-                if rid is not None:
-                    for candidate in candidates.get(rid, ()):
-                        if candidate not in decoded:
-                            local_id = candidate
-                            break
-                if local_id is None:
-                    leftovers.append(distance)
-                else:
-                    decoded[local_id] = distance
-        else:
-            for rid, distance in zip(
-                ranging.responder_ids, ranging.distances_m
-            ):
-                if rid is not None and rid in truth and rid not in decoded:
-                    decoded[rid] = distance
-                else:
-                    leftovers.append(distance)
+        candidates: Dict[int, List[int]] = {}
+        for local in truth:
+            candidates.setdefault(self._codes[local], []).append(local)
+        for rid, distance in zip(ranging.responder_ids, ranging.distances_m):
+            local_id = None
+            if rid is not None:
+                for candidate in candidates.get(rid, ()):
+                    if candidate not in decoded:
+                        local_id = candidate
+                        break
+            if local_id is None:
+                leftovers.append(distance)
+            else:
+                decoded[local_id] = distance
 
         outcomes = []
         for responder_id, true_distance in truth.items():

@@ -67,10 +67,6 @@ class RoundCost:
             self.tx_time_s * TX_CURRENT_A + self.rx_time_s * RX_CURRENT_A
         ) * SUPPLY_VOLTAGE_V
 
-    @property
-    def energy_per_node_j(self) -> float:
-        return self.energy_j / self.n_nodes
-
 
 def _frame_times(config: RadioConfig) -> tuple[float, float]:
     """(INIT airtime, RESP airtime) for a PHY configuration."""

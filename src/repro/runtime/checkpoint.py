@@ -13,8 +13,8 @@ Shards are written atomically (temp file + ``os.replace``) so a run
 killed mid-write never corrupts the store: the worst case is losing the
 chunk in flight, which the resume simply re-computes.
 
-:func:`checkpoint_usage_error` is the one rule for ``--checkpoint DIR
-[--resume]`` shared by every command line that takes the pair.
+:func:`checkpoint_usage_error` is the rule ``python -m repro run``
+applies to ``--checkpoint DIR [--resume]``.
 """
 
 from __future__ import annotations

@@ -411,7 +411,10 @@ def _start_pool(fn: TrialFn, processes: int):
 
 
 def _default_label(fn: TrialFn) -> str:
-    """A checkpoint label from the trial function's name."""
+    """A checkpoint label from the trial function's name (a
+    :class:`BatchTrial`'s ``batch``, under any ``functools.partial``)."""
+    if isinstance(fn, BatchTrial):
+        fn = fn.batch
     if isinstance(fn, functools.partial):
         fn = fn.func
     return getattr(fn, "__name__", None) or "trials"

@@ -28,7 +28,8 @@ serving stack:
 * :class:`MetricsServer` — live ``/metrics`` (Prometheus text format)
   and ``/healthz`` endpoints over either deployment.
 * :mod:`repro.serve.loadgen` — replay synthetic or Fig. 8 CIR streams
-  at a configured rate and verify the exactly-once accounting.
+  at a configured rate and verify the exactly-once accounting; its
+  command line is ``python -m repro loadgen``.
 
 The engine passes run on worker threads (the FFTs release the GIL), but
 all bookkeeping stays on the event loop — the service is data-race-free

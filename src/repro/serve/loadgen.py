@@ -1,11 +1,12 @@
 """Load generator: replay CIR streams against the ranging service.
 
-``python -m repro.serve.loadgen --sessions 1000 --rate 2000 --duration 60``
+``python -m repro loadgen --sessions 1000 --rate 2000 --duration 60``
 stands up a deployment through
 :class:`~repro.serve.client.AsyncRangingClient` (in-process by default;
 ``--workers K`` forks a multi-process
 :class:`~repro.serve.supervisor.RangingServer`; ``--rate-limit R`` arms
-the per-session token bucket), replays CIR ranging requests from many
+the per-session token bucket; ``--port P`` also serves ``/metrics`` and
+``/healthz`` while the replay runs), replays CIR ranging requests from many
 concurrent initiator sessions at a configurable aggregate rate, and
 reports a latency/throughput/accounting summary.  Two replay sources:
 
@@ -62,7 +63,6 @@ __all__ = [
     "run_load",
     "add_arguments",
     "run_from_args",
-    "main",
 ]
 
 _NOISE_STD = 0.01
@@ -312,7 +312,7 @@ async def run_load(
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """Register the load-replay flags (shared by ``repro serve``/``loadgen``)."""
+    """Register the ``repro loadgen`` flags on ``parser``."""
     parser.add_argument("--sessions", type=int, default=100)
     parser.add_argument(
         "--rate", type=float, default=500.0,
@@ -368,18 +368,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
         "--out", default=None, help="write the JSON report to this path"
     )
     return parser
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return add_arguments(
-        argparse.ArgumentParser(
-            prog="repro-loadgen",
-            description=(
-                "Replay CIR ranging streams against an in-process "
-                "repro.serve service."
-            ),
-        )
-    )
 
 
 async def _amain(args: argparse.Namespace) -> Dict[str, object]:
@@ -501,10 +489,3 @@ def run_from_args(args: argparse.Namespace) -> int:
             handle.write(text + "\n")
     return 0 if summary["accounting_ok"] else 1
 
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    return run_from_args(build_parser().parse_args(argv))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -47,10 +47,10 @@ class TestBuild:
             initiator=nodes[0],
             responders=nodes[1:],
             scheme=scheme,
-            allow_duplicate_assignments=True,
+            scheme_ids=[0, 0, 0],
             rng=rng,
         )
-        # Wrapped assignments all map to the single (slot, shape).
+        # Equal scheme IDs all map to the single (slot, shape).
         assert session._assignment(2).slot == 0
         assert session._assignment(2).shape_index == 0
 

@@ -397,6 +397,41 @@ class TestSessionIntegration:
         assert result.defense is not None
         assert not result.defense.triggered
 
+    @staticmethod
+    def _scheme_id_session(scheme_ids, n_slots, hop_range_s=60e-9):
+        return ConcurrentRangingSession.build(
+            [3.0, 6.0, 10.0],
+            n_slots=n_slots,
+            n_shapes=3,
+            seed=2,
+            compensate_tx_quantization=True,
+            scheme_ids=scheme_ids,
+            defense=DefensePlan(
+                time_hopping=TimeHoppingConfig(
+                    secret_seed=1, hop_range_s=hop_range_s
+                )
+            ),
+        )
+
+    @pytest.mark.parametrize(
+        "scheme_ids, n_slots", [([5, 6, 7], 4), ([2, 0, 1], 1)]
+    )
+    def test_hops_key_on_scheme_codes(self, scheme_ids, n_slots):
+        """Responders hop by their scheme code, and the screen looks the
+        decoded code up in the scheme and de-hops by it (codes beyond
+        the responder count included): nothing is flagged, and the
+        de-hopped distances are a hopless round's."""
+        hopped = self._scheme_id_session(scheme_ids, n_slots).run_round()
+        hopless = self._scheme_id_session(
+            scheme_ids, n_slots, hop_range_s=0.0
+        ).run_round()
+        assert not hopped.defense.triggered
+        for outcome, reference in zip(hopped.outcomes, hopless.outcomes):
+            assert outcome.identified and reference.identified
+            assert outcome.estimated_distance_m == pytest.approx(
+                reference.estimated_distance_m, abs=0.1
+            )
+
     def test_early_reply_detected(self):
         faults = FaultPlan([EarlyReplyAttacker(advance_s=40e-9)], seed=5)
         session = _session(seed=31, faults=faults, defense=DEFENSE)

@@ -167,8 +167,8 @@ class TestFlagRouting:
 
 
 class TestCheckpointFlags:
-    """``repro run`` and the sweep mains share one fresh-or-resume rule
-    for ``--checkpoint DIR [--resume]``."""
+    """``repro run`` applies one fresh-or-resume rule to
+    ``--checkpoint DIR [--resume]``."""
 
     @staticmethod
     def _stale(directory):
@@ -184,27 +184,7 @@ class TestCheckpointFlags:
         assert main(argv + ["--checkpoint", self._stale(tmp_path)]) == 2
         assert "is not empty" in capsys.readouterr().err
 
-    def test_chaos_main_resume_requires_checkpoint(self, capsys):
-        from repro.experiments import chaos_sweep
-
-        with pytest.raises(SystemExit) as excinfo:
-            chaos_sweep.main(["--quick", "--resume"])
-        assert excinfo.value.code == 2
-        assert "--resume requires --checkpoint" in capsys.readouterr().err
-
-    def test_chaos_main_non_empty_dir_needs_resume(self, tmp_path, capsys):
-        from repro.experiments import chaos_sweep
-
-        with pytest.raises(SystemExit) as excinfo:
-            chaos_sweep.main(
-                ["--quick", "--checkpoint", self._stale(tmp_path)]
-            )
-        assert excinfo.value.code == 2
-        assert "is not empty" in capsys.readouterr().err
-
     def test_resume_proceeds_and_reruns_nothing(self, tmp_path, capsys):
-        from repro.experiments import chaos_sweep
-
         argv = ["run", "sect5", "--trials", "4", "--checkpoint", str(tmp_path)]
         assert main(argv) == 0
         first = capsys.readouterr().out
@@ -214,10 +194,14 @@ class TestCheckpointFlags:
         # The results (everything before the metrics report) match.
         assert resumed.split("== runtime")[0] == first.split("== runtime")[0]
 
-        argv = ["--quick", "--checkpoint", str(tmp_path / "chaos")]
-        assert chaos_sweep.main(argv) == 0
+        # The chaos sweep keeps one checkpoint per intensity cell: 5 x 2.
+        argv = [
+            "run", "chaos", "--trials", "2",
+            "--checkpoint", str(tmp_path / "chaos"),
+        ]
+        assert main(argv) == 0
         capsys.readouterr()
-        assert chaos_sweep.main(argv + ["--resume"]) == 0
+        assert main(argv + ["--resume"]) == 0
         resumed = capsys.readouterr().out
         assert re.search(r"^  runtime\.trials +0$", resumed, re.M)
-        assert re.search(r"^  runtime\.checkpoint_hits +12$", resumed, re.M)
+        assert re.search(r"^  runtime\.checkpoint_hits +10$", resumed, re.M)

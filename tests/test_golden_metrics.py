@@ -19,11 +19,16 @@ Regenerating (after an *intentional* behaviour change)::
 
 then review the JSON diff like any other code change: every changed
 value is a behaviour change you are signing off on.
+
+Cases listed in ``GATES`` must also pass their experiment's acceptance
+gate (``check(result) == []``), before anything is compared or
+regenerated: a regeneration cannot pin values that fail the gate.
 """
 
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -64,29 +69,42 @@ CASES = {
     "fig8_combined(trials=6, seed=31)": (
         lambda: fig8_combined.run(trials=6, seed=31)
     ),
-    # The exact configuration CI's security-smoke gate runs (--quick):
-    # the pinned values double as the acceptance numbers — detection
-    # >= 0.9 at full intensity, clean false positives <= 0.05.
+    # The full-intensity grid, gated by ``security_study.check``:
+    # detection >= 0.9 at full intensity, clean false positives <= 0.05.
     "security_study(trials=4, rounds=6, seed=41, intensities=(1.0,))": (
         lambda: security_study.run(
             trials=4, rounds=6, seed=41, intensities=(1.0,)
         )
     ),
-    # The exact configuration CI's swarm-smoke gate runs (--quick): the
-    # sharded many-agent path end to end — swarm event loop -> batched
-    # classification -> anchor-slot decode -> localization.  Every
-    # pinned metric is byte-deterministic in (seed, counts, epochs) and
-    # invariant in --workers and --shards.
+    # The many-agent path end to end — swarm event loop -> batched
+    # classification -> anchor-slot decode -> localization — gated by
+    # ``swarm_scale.check``.  Every pinned metric is byte-deterministic
+    # in (seed, counts, epochs) and invariant in the worker and shard
+    # counts.
     "swarm_scale(trials=3, seed=71, counts=(12, 100, 500))": (
         lambda: swarm_scale.run(trials=3, seed=71, counts=(12, 100, 500))
     ),
 }
 
 
+#: Case name -> the experiment's acceptance gate: ``check(result)``
+#: returns the violated criteria.
+GATES = {
+    "security_study(trials=4, rounds=6, seed=41, intensities=(1.0,))": (
+        security_study.check
+    ),
+    "swarm_scale(trials=3, seed=71, counts=(12, 100, 500))": (
+        swarm_scale.check
+    ),
+}
+
+
 def _measure(name: str) -> dict:
-    return {
-        key: float(value) for key, value in CASES[name]().as_dict().items()
-    }
+    result = CASES[name]()
+    if name in GATES:
+        failures = GATES[name](result)
+        assert failures == [], f"{name} fails its acceptance gate: {failures}"
+    return {key: float(value) for key, value in result.as_dict().items()}
 
 
 def _load_golden() -> dict:
@@ -128,6 +146,25 @@ def test_golden_metrics(name, request):
             assert got == pytest.approx(value, rel=RTOL, abs=1e-12), (
                 f"{name}:{key} drifted from {value!r} to {got!r}"
             )
+
+
+@pytest.mark.parametrize("name", sorted(GATES))
+@pytest.mark.parametrize("update", [False, True])
+def test_gate_violation_fails_the_case(name, update, monkeypatch, tmp_path):
+    """A case whose gate reports a violation fails, and under
+    ``--update-golden`` fails before anything is written."""
+    from repro.experiments.common import ExperimentResult
+
+    path = tmp_path / "experiment_metrics.json"
+    monkeypatch.setitem(globals(), "GOLDEN_PATH", path)
+    monkeypatch.setitem(CASES, name, lambda: ExperimentResult("stub", ""))
+    monkeypatch.setitem(GATES, name, lambda result: ["violated"])
+    request = SimpleNamespace(
+        config=SimpleNamespace(getoption=lambda option: update)
+    )
+    with pytest.raises(AssertionError, match="acceptance gate"):
+        test_golden_metrics(name, request)
+    assert not path.exists()
 
 
 def test_golden_cases_are_repeatable():

@@ -4,11 +4,10 @@ import pytest
 
 from repro.channel.stochastic import IndoorEnvironment
 from repro.channel.geometry import Point, Room
-from repro.netsim.medium import FrameTransmission, Medium
+from repro.netsim.medium import Medium
 from repro.netsim.node import Node
 from repro.netsim.trace import TraceEvent, TraceRecorder
 from repro.radio.energy import RadioState
-from repro.signal.pulses import dw1000_pulse
 
 
 class TestNode:
@@ -64,30 +63,6 @@ class TestMedium:
         with pytest.raises(ValueError):
             medium.channel_between(0, 0)
 
-    def test_arrival_carries_source(self, rng):
-        medium = self._medium(rng)
-        tx = FrameTransmission(
-            tx_node_id=0, tx_time_s=1.0, pulse=dw1000_pulse()
-        )
-        arrival = medium.arrival_at(tx, 1)
-        assert arrival.source_id == 0
-        assert arrival.tx_time_s == 1.0
-
-    def test_own_transmission_not_received(self, rng):
-        medium = self._medium(rng)
-        tx = FrameTransmission(tx_node_id=0, tx_time_s=0.0, pulse=dw1000_pulse())
-        with pytest.raises(ValueError):
-            medium.arrival_at(tx, 0)
-
-    def test_first_arrival_time_matches_distance(self, rng):
-        from repro.constants import SPEED_OF_LIGHT
-
-        medium = self._medium(rng)
-        tx = FrameTransmission(tx_node_id=0, tx_time_s=2.0, pulse=dw1000_pulse())
-        assert medium.first_arrival_time(tx, 1) == pytest.approx(
-            2.0 + 5.0 / SPEED_OF_LIGHT
-        )
-
     def test_room_medium_uses_geometry(self, rng):
         room = Room(10.0, 5.0)
         medium = Medium(room=room, rng=rng)
@@ -97,22 +72,6 @@ class TestMedium:
         channel = medium.channel_between(0, 1)
         kinds = {tap.kind for tap in channel}
         assert "los" in kinds and "reflection" in kinds
-
-    def test_arrivals_at_superposition(self, rng):
-        medium = Medium(environment=IndoorEnvironment.hallway(), rng=rng)
-        medium.add_nodes(
-            [
-                Node.at(0, 0.0, 0.0, rng=rng),
-                Node.at(1, 5.0, 0.0, rng=rng),
-                Node.at(2, 0.0, 7.0, rng=rng),
-            ]
-        )
-        txs = [
-            FrameTransmission(tx_node_id=1, tx_time_s=0.0, pulse=dw1000_pulse()),
-            FrameTransmission(tx_node_id=2, tx_time_s=0.0, pulse=dw1000_pulse()),
-        ]
-        arrivals = medium.arrivals_at(txs, 0)
-        assert [a.source_id for a in arrivals] == [1, 2]
 
 
 class TestTrace:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.runtime import (
+    BatchTrial,
     CheckpointStore,
     MetricsRegistry,
     TrialError,
@@ -26,6 +27,14 @@ def draw_normal(rng, index):
 
 def draw_pair(rng, index):
     return (index, float(rng.normal()))
+
+
+def all_ones(rngs, indices):
+    return [1.0] * len(indices)
+
+
+def all_twos(rngs, indices):
+    return [2.0] * len(indices)
 
 
 def draw_or_fail_at(rng, index, *, failing):
@@ -184,6 +193,19 @@ class TestRunTrialsCheckpointing:
         # Different label: no hits, everything re-ran.
         assert metrics.counter("runtime.checkpoint_hits").value == 0
         assert metrics.counter("runtime.trials").value == 8
+
+    def test_default_label_names_the_batch_function(self, tmp_path):
+        """Without a label, two batched trials sharing a directory, a
+        seed and a trial count keep apart: the label is the name of the
+        ``BatchTrial``'s batch function, under any ``partial``."""
+        for batch, value in ((all_ones, 1.0), (partial(all_twos), 2.0)):
+            report = run_trials(
+                BatchTrial(batch=batch),
+                3,
+                seed=0,
+                checkpoint_dir=str(tmp_path),
+            )
+            assert report.values == [value] * 3
 
     @pytest.mark.parametrize("workers, kept", [(1, 8), (2, 12)])
     def test_failing_run_keeps_finished_chunks(self, tmp_path, workers, kept):

@@ -567,6 +567,25 @@ class TestAccounting:
         assert report.accounting_ok, report.as_dict()
         assert report.ok == report.sent > 0
 
+    def test_loadgen_command_reports_its_accounting(self, tmp_path, capsys):
+        """``python -m repro loadgen``, in process: exit 0 and a JSON
+        report, printed and written to ``--out``, whose accounting
+        holds."""
+        from repro.cli import main
+
+        out = tmp_path / "report.json"
+        argv = [
+            "loadgen", "--sessions", "4", "--rate", "40",
+            "--duration", "0.5", "--pool-size", "4", "--cir-length", "257",
+            "--out", str(out),
+        ]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["accounting_ok"] is True
+        assert report["sent"] > 0
+        assert report["config"]["cir_length"] == 257
+        assert json.loads(out.read_text()) == report
+
 
 class TestEndpoints:
     @staticmethod

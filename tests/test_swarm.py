@@ -151,15 +151,6 @@ class TestSwarmScaleExperiment:
         parallel = swarm_scale.run(workers=2, **kwargs)
         assert serial.as_dict() == parallel.as_dict()
 
-    def test_shards_invariance(self):
-        from repro.experiments import swarm_scale
-
-        kwargs = dict(trials=2, seed=71, counts=(12, 30))
-        assert (
-            swarm_scale.run(shards=1, **kwargs).as_dict()
-            == swarm_scale.run(shards=3, **kwargs).as_dict()
-        )
-
     def test_capacity_metric_covers_the_claim(self):
         from repro.experiments import swarm_scale
 
